@@ -1,18 +1,10 @@
-"""EXP-P7 (kernel side): event-queue dispatch throughput, heap vs calendar.
+"""EXP-P7 (kernel side): event-kernel dispatch throughput.
 
 Times the classic hold-model workload (a constant pending population:
 every fired event schedules one successor at a pseudorandom offset)
-through the kernel's two pending-set implementations. Determinism is
-asserted, not assumed: both queues must dispatch the identical
-``(time, label)`` stream before any timing is reported.
-
-The numbers are reported honestly: on CPython the C-accelerated
-``heapq`` wins this contest at every population we measured (the
-calendar queue's O(1) bucket math is still interpreted bytecode), which
-is exactly why ``queue="heap"`` stays the default and the calendar
-kernel is an option, not a replacement. The floor asserted here is an
-absolute dispatch-throughput regression guard on both queues, not a
-ranking between them.
+through the kernel's binary-heap pending set. The best of three runs is
+recorded as this bench's throughput (events/s) and checked against an
+absolute dispatch-throughput regression floor.
 """
 
 from __future__ import annotations
@@ -20,24 +12,21 @@ from __future__ import annotations
 import gc
 import time
 
-import pytest
-
 from repro.analysis.report import format_table
 from repro.sim.kernel import Simulator
 
-#: Both queues must clear this on the hold model (a shared dev box
-#: measures ~200k ev/s for the heap and ~155k for the calendar with the
-#: trace recording enabled; the floor leaves generous headroom for
-#: slower CI machines).
+#: The hold model must clear this (a shared dev box measures ~200k ev/s
+#: with the trace recording enabled; the floor leaves generous headroom
+#: for slower CI machines).
 _DISPATCH_FLOOR_EPS = 60_000.0
 
 _POPULATION = 2_000
 _EVENTS = 60_000
 
 
-def _hold_model(queue: str, population: int, events: int):
-    """Run the hold model; return (elapsed_seconds, dispatch_trace)."""
-    sim = Simulator(queue=queue)
+def _hold_model(population: int, events: int) -> float:
+    """Run the hold model; return the elapsed seconds."""
+    sim = Simulator()
     trace: list[int] = []
     remaining = events
     # Deterministic pseudorandom offsets without a live RNG in the
@@ -64,53 +53,27 @@ def _hold_model(queue: str, population: int, events: int):
     finally:
         gc.enable()
     assert sim.dispatched_events == events
-    return elapsed, trace
+    assert trace == sorted(trace)
+    return elapsed
 
 
-def test_bench_kernel_dispatch_throughput(capsys):
-    results = {}
-    for queue in ("heap", "calendar"):
-        best = None
-        trace = None
-        for _ in range(3):
-            elapsed, this_trace = _hold_model(queue, _POPULATION, _EVENTS)
-            best = elapsed if best is None else min(best, elapsed)
-            trace = this_trace
-        results[queue] = (best, trace)
-    # Determinism first: identical dispatch streams, instant for
-    # instant, or the timing comparison is meaningless.
-    assert results["heap"][1] == results["calendar"][1], (
-        "heap and calendar kernels dispatched different event streams"
-    )
-    total = _EVENTS
-    rows = []
-    for queue, (elapsed, _) in results.items():
-        rows.append([
-            queue,
-            total,
-            _POPULATION,
-            f"{elapsed * 1000:.1f}",
-            f"{total / elapsed:,.0f}",
-        ])
+def test_bench_kernel_dispatch_throughput(capsys, bench_record):
+    elapsed = min(_hold_model(_POPULATION, _EVENTS) for _ in range(3))
+    rate = _EVENTS / elapsed
+    bench_record(throughput=rate, events=_EVENTS, population=_POPULATION)
     with capsys.disabled():
         print()
         print(format_table(
-            ["queue", "events", "pending pop.", "elapsed ms", "events/s"],
-            rows,
-            title="event-queue dispatch -- hold model",
+            ["events", "pending pop.", "elapsed ms", "events/s"],
+            [[
+                _EVENTS,
+                _POPULATION,
+                f"{elapsed * 1000:.1f}",
+                f"{rate:,.0f}",
+            ]],
+            title="event-kernel dispatch -- hold model (best of 3)",
         ))
-    for queue, (elapsed, _) in results.items():
-        rate = total / elapsed
-        assert rate >= _DISPATCH_FLOOR_EPS, (
-            f"{queue} kernel dispatch regressed: {rate:,.0f} ev/s "
-            f"< {_DISPATCH_FLOOR_EPS:,.0f}"
-        )
-
-
-@pytest.mark.parametrize("population", [4, 64, 2_048])
-def test_bench_kernel_calendar_tracks_heap_at_any_density(population, capsys):
-    """Order equality holds from sparse to dense pending populations
-    (resize churn at the small sizes, wide buckets at the large)."""
-    _, heap_trace = _hold_model("heap", population, 4_000)
-    _, cal_trace = _hold_model("calendar", population, 4_000)
-    assert heap_trace == cal_trace
+    assert rate >= _DISPATCH_FLOOR_EPS, (
+        f"kernel dispatch regressed: {rate:,.0f} ev/s "
+        f"< {_DISPATCH_FLOOR_EPS:,.0f}"
+    )

@@ -102,6 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export the series as JSON")
         return p
 
+    def workload(p, masters, slaves, requests, hyperperiods, seed):
+        p.add_argument("--masters", type=int, default=masters)
+        p.add_argument("--slaves", type=int, default=slaves)
+        p.add_argument("--requests", type=int, default=requests)
+        p.add_argument("--hyperperiods", type=int, default=hyperperiods)
+        p.add_argument("--seed", type=int, default=seed)
+
     fig = common(sub.add_parser("fig18-5", help="reproduce Figure 18.5"))
     fig.add_argument(
         "--telemetry-out", metavar="DIR",
@@ -111,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="check the Eq. 18.1 guarantee by simulation"
     )
-    validate.add_argument("--masters", type=int, default=6)
-    validate.add_argument("--slaves", type=int, default=18)
-    validate.add_argument("--requests", type=int, default=80)
-    validate.add_argument("--hyperperiods", type=int, default=3)
-    validate.add_argument("--seed", type=int, default=55)
+    workload(validate, 6, 18, 80, 3, 55)
     validate.add_argument(
         "--trials", type=int, default=1,
         help="independent validation runs (trial 0 uses --seed, trial i "
@@ -355,11 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     capture.add_argument("out", metavar="DIR",
                          help="directory for the bundle files")
-    capture.add_argument("--masters", type=int, default=4)
-    capture.add_argument("--slaves", type=int, default=12)
-    capture.add_argument("--requests", type=int, default=40)
-    capture.add_argument("--hyperperiods", type=int, default=2)
-    capture.add_argument("--seed", type=int, default=55)
+    workload(capture, 4, 12, 40, 2, 55)
     capture.add_argument("--profile", action="store_true",
                          help="also profile kernel event callbacks")
     check = obs_sub.add_parser(
@@ -391,11 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
              "of the clean validation run (exercises backoff "
              "attribution)",
     )
-    spans_cmd.add_argument("--masters", type=int, default=4)
-    spans_cmd.add_argument("--slaves", type=int, default=12)
-    spans_cmd.add_argument("--requests", type=int, default=40)
-    spans_cmd.add_argument("--hyperperiods", type=int, default=2)
-    spans_cmd.add_argument("--seed", type=int, default=55)
+    workload(spans_cmd, 4, 12, 40, 2, 55)
     spans_cmd.add_argument(
         "--out", metavar="DIR",
         help="write the telemetry bundle (spans.jsonl, anomalies.jsonl, "

@@ -203,7 +203,6 @@ def build_star(
     telemetry=None,
     fault_plan=None,
     signal_lease_ns: int | None = 50_000_000,
-    queue: str = "heap",
 ) -> StarNetwork:
     """Build the paper's star network, fully wired and ready to run.
 
@@ -244,11 +243,6 @@ def build_star(
         can hold admission capacity. ``None`` disables leases and the
         switch's duplicate-frame tolerance entirely (the pre-lease,
         paper-exact state machine).
-    queue:
-        Event-queue implementation for the kernel, ``"heap"`` (default)
-        or ``"calendar"`` -- both dispatch in the identical ``(time,
-        seq)`` total order (see :class:`~repro.sim.kernel.Simulator`),
-        so the choice never changes results, only kernel performance.
     """
     names = list(node_names)
     if not names:
@@ -266,7 +260,7 @@ def build_star(
     addresses = address_pass(graph)
 
     reset_frame_ids()
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     phy = phy or PhyProfile.fast_ethernet()
     if telemetry is not None:
         trace = telemetry.recorder

@@ -38,9 +38,6 @@ class Event:
     cancelled: bool = False
     weak: bool = False
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.time, self.seq)
-
 
 @dataclass(frozen=True, slots=True)
 class EventHandle:

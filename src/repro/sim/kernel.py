@@ -7,32 +7,16 @@ A minimal, deterministic event loop in integer nanoseconds:
 * :meth:`Simulator.run` drains the queue, optionally up to a horizon.
 * cancellation is lazy and O(1) (see :mod:`repro.sim.events`).
 
+The pending set is one binary heap of ``(time, seq, event)`` entries
+driven by the C-accelerated :mod:`heapq`; ``seq`` is unique, so the
+total order ``(time, seq)`` -- same-time FIFO included -- never falls
+through to comparing events.
+
 The kernel is callback-based rather than coroutine-based: the network
 models (links, ports, sources) are naturally event-driven state
 machines, and callbacks keep the hot loop free of generator overhead --
 one simulated second of a loaded 100 Mbps link is ~8k frame events, and
 the validation experiments simulate many hyperperiods.
-
-Event-queue implementations
----------------------------
-The pending-event set is pluggable (``Simulator(queue=...)``):
-
-``"heap"`` (default)
-    a binary heap keyed by ``(time, seq)`` -- O(log n) push/pop,
-    perfectly robust for any time distribution.
-``"calendar"``
-    a calendar queue (Brown 1988): buckets of width ``w`` indexed by
-    ``time // w`` modulo the bucket count, scanned from the current
-    year forward. For the periodic traffic this simulator exists for
-    (frame slots recur every period/hyperperiod), push and pop are
-    amortized O(1), which is what keeps the kernel up with the batched
-    admission engine's decision rate. Bucket count and width adapt by
-    powers of two as occupancy changes; every adaptation is a pure
-    function of queue content, so runs remain bit-deterministic.
-
-Both implementations dispatch in the identical total order ``(time,
-seq)`` -- same-time FIFO included -- which the kernel test suite
-enforces by differential replay.
 
 Observability hooks
 -------------------
@@ -53,203 +37,17 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter_ns
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from .events import Event, EventHandle
 from .events import _fired  # type: ignore[attr-defined]
 
 __all__ = ["Simulator"]
 
-#: Queue entry: ``(time, seq, event)``; ``(time, seq)`` is unique, so
-#: entries never compare by ``Event``.
-_Entry = tuple[int, int, Event]
-
-
-class _HeapQueue:
-    """The classic binary-heap pending set (total order ``(time, seq)``)."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[_Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek(self) -> _Entry | None:
-        return self._heap[0] if self._heap else None
-
-    def pop(self) -> _Entry:
-        return heapq.heappop(self._heap)
-
-    def entries(self) -> Iterator[_Entry]:
-        return iter(self._heap)
-
-    def rebuild(self, entries: list[_Entry]) -> None:
-        heapq.heapify(entries)
-        self._heap = entries
-
-
-class _CalendarQueue:
-    """A calendar queue: bucketed pending set with amortized O(1) ops.
-
-    Buckets are little ``(time, seq)``-keyed heaps; bucket ``b`` holds
-    every pending entry with ``(time // width) % nbuckets == b``. A pop
-    scans buckets starting at the *current year* (the bucket holding
-    ``last_time``) and takes the head of the first bucket whose head
-    actually belongs to the year under scan; if a whole year is empty,
-    it falls back to a direct minimum search (the standard escape for
-    sparse regions). Correctness does not depend on the width heuristic
-    -- a bad width only degrades to O(nbuckets) scans -- and both the
-    resize trigger and the width choice are pure functions of content,
-    keeping replay deterministic.
-    """
-
-    __slots__ = (
-        "_buckets", "_width", "_nbuckets", "_size", "_last_time", "_head"
-    )
-
-    _MIN_BUCKETS = 4
-
-    def __init__(self) -> None:
-        self._nbuckets = self._MIN_BUCKETS
-        self._buckets: list[list[_Entry]] = [
-            [] for _ in range(self._nbuckets)
-        ]
-        self._width = 1024
-        self._size = 0
-        self._last_time = 0
-        #: memoized result of the last _locate_min scan; invalidated by
-        #: any mutation. Makes the kernel's peek-then-pop dispatch
-        #: pattern a single scan per event.
-        self._head: tuple[int, _Entry] | None = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: _Entry) -> None:
-        head = self._head
-        if head is not None and entry < head[1]:
-            self._head = None
-        index = (entry[0] // self._width) % self._nbuckets
-        heapq.heappush(self._buckets[index], entry)
-        self._size += 1
-        if self._size > 2 * self._nbuckets:
-            self._resize(self._nbuckets * 2)
-
-    def _locate_min(self) -> tuple[int, _Entry] | None:
-        """(bucket index, head entry) of the queue minimum, or None."""
-        if not self._size:
-            return None
-        if self._head is not None:
-            return self._head
-        width = self._width
-        nbuckets = self._nbuckets
-        year = self._last_time // width
-        for offset in range(nbuckets):
-            bucket = self._buckets[(year + offset) % nbuckets]
-            if bucket and bucket[0][0] // width == year + offset:
-                self._head = ((year + offset) % nbuckets, bucket[0])
-                return self._head
-        # Sparse region: nothing due within one full calendar year.
-        # Direct search over the bucket heads (each head is its
-        # bucket's minimum because buckets are heaps).
-        best_index = -1
-        best: _Entry | None = None
-        for index, bucket in enumerate(self._buckets):
-            if bucket and (best is None or bucket[0] < best):
-                best_index = index
-                best = bucket[0]
-        assert best is not None
-        self._head = (best_index, best)
-        return self._head
-
-    def peek(self) -> _Entry | None:
-        located = self._locate_min()
-        return located[1] if located is not None else None
-
-    def pop(self) -> _Entry:
-        located = self._locate_min()
-        if located is None:
-            raise IndexError("pop from an empty calendar queue")
-        index, _ = located
-        entry = heapq.heappop(self._buckets[index])
-        self._head = None
-        self._size -= 1
-        self._last_time = entry[0]
-        if (
-            self._nbuckets > self._MIN_BUCKETS
-            and self._size < self._nbuckets // 2
-        ):
-            self._resize(self._nbuckets // 2)
-        return entry
-
-    def entries(self) -> Iterator[_Entry]:
-        for bucket in self._buckets:
-            yield from bucket
-
-    def rebuild(self, entries: list[_Entry]) -> None:
-        size = len(entries)
-        nbuckets = self._MIN_BUCKETS
-        while nbuckets * 2 < size:
-            nbuckets *= 2
-        self._head = None
-        self._nbuckets = nbuckets
-        self._width = self._pick_width(entries)
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            heapq.heappush(
-                self._buckets[(entry[0] // width) % nbuckets], entry
-            )
-        self._size = size
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self._head = None
-        self._nbuckets = nbuckets
-        self._width = self._pick_width(entries)
-        self._buckets = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            heapq.heappush(
-                self._buckets[(entry[0] // width) % nbuckets], entry
-            )
-
-    def _pick_width(self, entries: list[_Entry]) -> int:
-        """Bucket width ~ the mean gap between pending event times.
-
-        Aims at O(1) entries per bucket-year; clamped to >= 1 and kept
-        a deterministic function of the pending set. Degenerate
-        distributions (all same instant) just mean one busy bucket --
-        still correct, the in-bucket heap handles it.
-        """
-        if len(entries) < 2:
-            return max(1024, self._width)
-        lo = min(entry[0] for entry in entries)
-        hi = max(entry[0] for entry in entries)
-        span = hi - lo
-        if span <= 0:
-            return max(1, self._width)
-        return max(1, span // len(entries) + 1)
-
-
-_QUEUES: dict[str, type] = {"heap": _HeapQueue, "calendar": _CalendarQueue}
-
 
 class Simulator:
     """Deterministic discrete-event loop with an integer-ns clock.
-
-    Parameters
-    ----------
-    queue:
-        Pending-set implementation, ``"heap"`` (default) or
-        ``"calendar"`` (see the module docstring). Both dispatch in the
-        identical ``(time, seq)`` total order.
 
     Example
     -------
@@ -262,16 +60,11 @@ class Simulator:
     [50, 100]
     """
 
-    def __init__(self, *, queue: str = "heap") -> None:
-        queue_type = _QUEUES.get(queue)
-        if queue_type is None:
-            raise ConfigurationError(
-                f"unknown event queue {queue!r} (have {sorted(_QUEUES)})"
-            )
+    def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._queue_kind = queue
-        self._queue = queue_type()
+        #: pending ``(time, seq, event)`` entries, a :mod:`heapq` heap
+        self._heap: list[tuple[int, int, Event]] = []
         self._running = False
         self._dispatched = 0
         self._strong = 0  # live (not cancelled, not fired) non-weak events
@@ -289,14 +82,9 @@ class Simulator:
         return self._now
 
     @property
-    def queue_kind(self) -> str:
-        """Which pending-set implementation this kernel runs on."""
-        return self._queue_kind
-
-    @property
     def pending_events(self) -> int:
         """Events still in the queue (including lazily cancelled ones)."""
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def live_pending_events(self) -> int:
@@ -306,7 +94,7 @@ class Simulator:
         entries, so telemetry probes report true queue depth. O(queue).
         """
         return sum(
-            1 for _, _, event in self._queue.entries() if not event.cancelled
+            1 for _, _, event in self._heap if not event.cancelled
         )
 
     @property
@@ -366,11 +154,12 @@ class Simulator:
             time=time, seq=self._seq, action=action, label=label, weak=weak
         )
         self._seq += 1
-        self._queue.push((time, event.seq, event))
+        heap = self._heap
+        heapq.heappush(heap, (time, event.seq, event))
         if not weak:
             self._strong += 1
-        if len(self._queue) > self._max_heap_depth:
-            self._max_heap_depth = len(self._queue)
+        if len(heap) > self._max_heap_depth:
+            self._max_heap_depth = len(heap)
         return EventHandle(event, self)
 
     def _note_cancelled(self) -> None:
@@ -405,17 +194,15 @@ class Simulator:
             )
         self._running = True
         profiler = self.profiler
-        queue = self._queue
+        heap = self._heap
+        heappop = heapq.heappop
         fired = 0
         try:
-            while self._strong:
-                head = queue.peek()
-                if head is None:
-                    break
-                time = head[0]
+            while self._strong and heap:
+                time = heap[0][0]
                 if until is not None and time > until:
                     break
-                event = queue.pop()[2]
+                event = heappop(heap)[2]
                 if event.cancelled:
                     continue
                 if not event.weak:
@@ -444,63 +231,28 @@ class Simulator:
             self.compact()
         return fired
 
-    def step(self) -> bool:
-        """Dispatch a single (non-cancelled) event. Returns False if idle."""
-        if self._running:
-            raise SimulationError("Simulator.step is not re-entrant")
-        queue = self._queue
-        while len(queue):
-            time, _, event = queue.pop()
-            if event.cancelled:
-                continue
-            if not event.weak:
-                self._strong -= 1
-            self._now = time
-            action = event.action
-            event.action = _fired
-            self._running = True
-            try:
-                action()
-            finally:
-                self._running = False
-            self._dispatched += 1
-            return True
-        return False
-
-    def peek_time(self) -> int | None:
-        """Firing time of the next live event, or None when idle."""
-        queue = self._queue
-        while True:
-            head = queue.peek()
-            if head is None:
-                return None
-            if head[2].cancelled:
-                queue.pop()
-                continue
-            return head[0]
-
     # -- maintenance ---------------------------------------------------------
 
     def compact(self) -> int:
         """Drop lazily-cancelled events from the queue.
 
-        Cancellation is O(1) by leaving the queue entry in place; a run
+        Cancellation is O(1) by leaving the heap entry in place; a run
         stopped at a horizon can therefore accumulate dead entries
-        indefinitely. Rebuilding without them is safe because queue keys
-        ``(time, seq)`` are unique, so the rebuilt structure preserves
+        indefinitely. Re-heapifying without them is safe because heap
+        keys ``(time, seq)`` are unique, so the rebuilt heap preserves
         pop order exactly. Returns the number of entries removed.
         """
         if self._running:
             raise SimulationError("cannot compact while running")
-        before = len(self._queue)
+        before = len(self._heap)
         live = [
-            entry for entry in self._queue.entries()
-            if not entry[2].cancelled
+            entry for entry in self._heap if not entry[2].cancelled
         ]
         removed = before - len(live)
         if removed:
-            self._queue.rebuild(live)
+            heapq.heapify(live)
+            self._heap = live
             self._strong = sum(
-                1 for _, _, event in self._queue.entries() if not event.weak
+                1 for _, _, event in live if not event.weak
             )
         return removed

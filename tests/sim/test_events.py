@@ -4,16 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import EventHandle
 from repro.sim.kernel import Simulator
-
-
-class TestEvent:
-    def test_sort_key_orders_time_then_seq(self):
-        early = Event(time=10, seq=0, action=lambda: None)
-        later = Event(time=10, seq=1, action=lambda: None)
-        other = Event(time=5, seq=9, action=lambda: None)
-        assert other.sort_key() < early.sort_key() < later.sort_key()
 
 
 class TestEventHandle:

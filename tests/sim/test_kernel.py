@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -22,10 +24,19 @@ class TestScheduling:
     def test_fifo_at_same_instant(self):
         sim = Simulator()
         seen = []
-        for i in range(5):
+        for i in range(50):
             sim.schedule(50, lambda i=i: seen.append(i))
         sim.run()
-        assert seen == [0, 1, 2, 3, 4]
+        assert seen == list(range(50))
+
+    def test_sparse_far_future_events_fire_in_order(self):
+        sim = Simulator()
+        seen = []
+        for t in (10**9, 3, 10**6, 44, 10**12, 500):
+            sim.schedule(t, lambda t=t: seen.append(t))
+        sim.run()
+        assert seen == sorted(seen)
+        assert sim.now == 10**12
 
     def test_zero_delay_runs_after_current_event(self):
         sim = Simulator()
@@ -119,24 +130,18 @@ class TestRun:
         sim.run()
         assert sim.dispatched_events == 7
 
-
-class TestStep:
-    def test_step_one_event(self):
+    def test_repeated_horizon_runs_drain_each_round(self):
         sim = Simulator()
         seen = []
-        sim.schedule(5, lambda: seen.append(1))
-        sim.schedule(10, lambda: seen.append(2))
-        assert sim.step()
-        assert seen == [1]
-        assert sim.now == 5
-        assert sim.step()
-        assert not sim.step()
-
-    def test_peek_time(self):
-        sim = Simulator()
-        assert sim.peek_time() is None
-        sim.schedule(42, lambda: None)
-        assert sim.peek_time() == 42
+        for round_base in (0, 100_000):
+            for i in range(300):
+                sim.schedule_at(
+                    round_base + (i * 37) % 991,
+                    lambda i=i: seen.append(i),
+                )
+            sim.run(until=round_base + 2_000)
+            assert sim.now == round_base + 2_000
+        assert len(seen) == 600
 
 
 class TestCancellation:
@@ -156,15 +161,123 @@ class TestCancellation:
         sim.run()
         assert not handle.cancel()
 
-    def test_peek_skips_cancelled(self):
+    def test_compact_drops_cancelled_entries(self):
         sim = Simulator()
-        first = sim.schedule(1, lambda: None)
-        sim.schedule(2, lambda: None)
-        first.cancel()
-        assert sim.peek_time() == 2
+        keep = sim.schedule(10, lambda: None)
+        for _ in range(20):
+            sim.schedule(20, lambda: None).cancel()
+        assert sim.pending_events == 21
+        removed = sim.compact()
+        assert removed == 20
+        assert sim.pending_events == 1
+        assert sim.live_pending_events == 1
+        keep.cancel()
 
     def test_handle_metadata(self):
         sim = Simulator()
         handle = sim.schedule(10, lambda: None, label="hello")
         assert handle.time == 10
         assert handle.label == "hello"
+
+
+# -- differential replay against a brute-force reference model -------------
+
+
+class _ReferenceHandle:
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
+
+    def cancel(self) -> bool:
+        if self._entry[4]:  # fired
+            return False
+        self._entry[3] = True
+        return True
+
+
+class _ReferenceKernel:
+    """The kernel's dispatch contract, written as plainly as possible.
+
+    Pending entries are ``[time, seq, action, cancelled, fired, weak]``
+    in a flat list. Each step fires the minimum live ``(time, seq)``
+    entry by linear search; the run stops once no live strong entry
+    remains or the next one lies past the horizon, and then advances the
+    clock to the horizon. ``compact()`` changes nothing observable.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.dispatched_events = 0
+        self._seq = 0
+        self._entries: list[list] = []
+
+    def schedule(self, delay, action, weak=False):
+        entry = [self.now + delay, self._seq, action, False, False, weak]
+        self._seq += 1
+        self._entries.append(entry)
+        return _ReferenceHandle(entry)
+
+    def compact(self) -> int:
+        return 0
+
+    def _live(self) -> list[list]:
+        return [e for e in self._entries if not e[3] and not e[4]]
+
+    def run(self, until=None) -> None:
+        while any(not e[5] for e in self._live()):
+            entry = min(self._live(), key=lambda e: (e[0], e[1]))
+            if until is not None and entry[0] > until:
+                break
+            entry[4] = True
+            self.now = entry[0]
+            entry[2]()
+            self.dispatched_events += 1
+        if until is not None and self.now < until:
+            self.now = until
+
+
+def replay(kernel_type, program, horizon=None):
+    """Run one randomized program; return (fired, now, dispatched).
+
+    Programs mix delays with heavy same-instant collisions, weak
+    observers, mid-run scheduling, cancellations, horizon runs and
+    compaction.
+    """
+    rng = random.Random(program)
+    sim = kernel_type()
+    fired: list[tuple[int, int]] = []
+    handles = []
+
+    def make(tag):
+        def action():
+            fired.append((sim.now, tag))
+            # Mid-run scheduling: events spawn more events.
+            if rng.random() < 0.35 and len(fired) < 400:
+                sim.schedule(rng.randrange(0, 50), make(tag + 1000))
+            # Mid-run cancellation of a random live handle.
+            if handles and rng.random() < 0.2:
+                handles[rng.randrange(len(handles))].cancel()
+
+        return action
+
+    for tag in range(120):
+        delay = rng.choice((0, 1, 1, 7, 7, 7, 64, 512, 4096))
+        handles.append(
+            sim.schedule(delay, make(tag), weak=rng.random() < 0.1)
+        )
+    if rng.random() < 0.5:
+        sim.compact()
+    sim.run(until=horizon)
+    return fired, sim.now, sim.dispatched_events
+
+
+@pytest.mark.parametrize("program", range(15))
+def test_replays_reference_model(program):
+    assert replay(Simulator, program) == replay(_ReferenceKernel, program)
+
+
+@pytest.mark.parametrize("program", range(15, 25))
+def test_replays_reference_model_with_horizon(program):
+    horizon = 300 + 77 * program
+    assert replay(Simulator, program, horizon) == replay(
+        _ReferenceKernel, program, horizon
+    )
