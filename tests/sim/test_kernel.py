@@ -24,8 +24,16 @@ class TestScheduling:
     def test_fifo_at_same_instant(self):
         sim = Simulator()
         seen = []
-        for i in range(50):
+        for i in range(5):
             sim.schedule(50, lambda i=i: seen.append(i))
+        sim.run()
+        assert seen == [0, 1, 2, 3, 4]
+
+    def test_fifo_among_many_same_instant_events(self):
+        sim = Simulator()
+        seen = []
+        for i in range(50):
+            sim.schedule(7, lambda i=i: seen.append(i))
         sim.run()
         assert seen == list(range(50))
 
