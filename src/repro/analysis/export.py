@@ -16,7 +16,13 @@ from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
 
-__all__ = ["series_to_csv", "series_to_json", "write_csv", "write_json"]
+__all__ = [
+    "series_to_csv",
+    "series_to_json",
+    "write_csv",
+    "write_json",
+    "write_text",
+]
 
 
 def _validate(
@@ -72,6 +78,14 @@ def series_to_json(
     return json.dumps(document, indent=2, sort_keys=True)
 
 
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path``, creating missing parent directories."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+    return target
+
+
 def write_csv(
     path: str | Path,
     x_label: str,
@@ -79,9 +93,7 @@ def write_csv(
     series: Mapping[str, Sequence[object]],
 ) -> Path:
     """Write CSV to ``path``; returns the resolved path."""
-    target = Path(path)
-    target.write_text(series_to_csv(x_label, x_values, series))
-    return target
+    return write_text(path, series_to_csv(x_label, x_values, series))
 
 
 def write_json(
@@ -92,6 +104,6 @@ def write_json(
     metadata: Mapping[str, object] | None = None,
 ) -> Path:
     """Write JSON to ``path``; returns the resolved path."""
-    target = Path(path)
-    target.write_text(series_to_json(x_label, x_values, series, metadata))
-    return target
+    return write_text(
+        path, series_to_json(x_label, x_values, series, metadata)
+    )

@@ -70,7 +70,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .analysis.export import write_csv, write_json
+from .analysis.export import write_csv, write_json, write_text
 from .analysis.report import format_table
 from .oracle.fuzz import FAMILIES
 
@@ -863,10 +863,10 @@ def _cmd_oracle(args) -> int:
     print(report.summary())
     if args.json:
         import json
-        from pathlib import Path
 
-        path = Path(args.json)
-        path.write_text(json.dumps(report.to_json_dict(), indent=2))
+        path = write_text(
+            args.json, json.dumps(report.to_json_dict(), indent=2)
+        )
         print(f"wrote {path}")
     return 0 if report.ok else 1
 
@@ -905,10 +905,10 @@ def _cmd_bench_admission(args) -> int:
     print(result.summary())
     if args.json:
         import json
-        from pathlib import Path
 
-        path = Path(args.json)
-        path.write_text(json.dumps(result.to_json_dict(), indent=2))
+        path = write_text(
+            args.json, json.dumps(result.to_json_dict(), indent=2)
+        )
         print(f"wrote {path}")
     return 0 if ok else 1
 
@@ -924,10 +924,10 @@ def _cmd_admission_diff(args) -> int:
     print(report.summary())
     if args.json:
         import json
-        from pathlib import Path
 
-        path = Path(args.json)
-        path.write_text(json.dumps(report.to_json_dict(), indent=2))
+        path = write_text(
+            args.json, json.dumps(report.to_json_dict(), indent=2)
+        )
         print(f"wrote {path}")
     return 0 if report.ok else 1
 
@@ -947,8 +947,9 @@ def _cmd_service_soak(args) -> int:
     )
     print(result.summary())
     if args.json:
-        path = Path(args.json)
-        path.write_text(json.dumps(result.to_json_dict(), indent=2))
+        path = write_text(
+            args.json, json.dumps(result.to_json_dict(), indent=2)
+        )
         print(f"wrote {path}")
     if args.telemetry_out:
         from .obs.schema import ANOMALY_SCHEMA, validate
@@ -985,10 +986,10 @@ def _cmd_netcalc_diff(args) -> int:
     print(report.summary())
     if args.json:
         import json
-        from pathlib import Path
 
-        path = Path(args.json)
-        path.write_text(json.dumps(report.to_json_dict(), indent=2))
+        path = write_text(
+            args.json, json.dumps(report.to_json_dict(), indent=2)
+        )
         print(f"wrote {path}")
     return 0 if report.ok else 1
 
@@ -1007,10 +1008,7 @@ def _cmd_netcalc_bounds(args) -> int:
         ),
     )
     if args.csv:
-        from pathlib import Path
-
-        path = Path(args.csv)
-        path.write_text(render_bounds_csv(rows))
+        path = write_text(args.csv, render_bounds_csv(rows))
         print(f"wrote {path} ({len(rows)} rows)")
         return 0
     table = [

@@ -11,6 +11,7 @@ from repro.analysis.export import (
     series_to_json,
     write_csv,
     write_json,
+    write_text,
 )
 from repro.analysis.timeline import (
     LinkTimeline,
@@ -55,6 +56,15 @@ class TestExport:
         assert csv_path.read_text().startswith("x,a")
         json_path = write_json(tmp_path / "out.json", "x", [1], {"a": [2]})
         assert json.loads(json_path.read_text())["x"] == [1]
+
+    def test_write_creates_missing_parent_directories(self, tmp_path):
+        missing = tmp_path / "out" / "nested"
+        csv_path = write_csv(missing / "a.csv", "x", [1], {"a": [2]})
+        json_path = write_json(missing / "a.json", "x", [1], {"a": [2]})
+        text_path = write_text(tmp_path / "other" / "b.txt", "hi")
+        assert csv_path.read_text().startswith("x,a")
+        assert json.loads(json_path.read_text())["x"] == [1]
+        assert text_path.read_text() == "hi"
 
 
 class TestTimeline:

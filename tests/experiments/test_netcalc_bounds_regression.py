@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.cli import main
 from repro.experiments.netcalc_bounds import (
     DEFAULT_CHECKPOINTS,
     netcalc_bound_rows,
@@ -31,6 +32,11 @@ class TestNetcalcBoundsRegression:
             "`repro netcalc-bounds --csv results/netcalc_bounds.csv` "
             "and review the diff"
         )
+
+    def test_cli_export_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "out" / "netcalc_bounds.csv"
+        assert main(["netcalc-bounds", "--csv", str(target)]) == 0
+        assert target.read_text() == FIXTURE.read_text()
 
     def test_rows_cover_both_schemes_at_every_checkpoint(self):
         rows = netcalc_bound_rows()
