@@ -155,20 +155,18 @@ class DeadlinePartitioningScheme(abc.ABC):
     :class:`~repro.core.partitioning_ext.SearchDPS`) override
     :meth:`partition_with_probe` instead; the default implementation
     ignores the probe.
+
+    The rule every scheme keeps: :meth:`partition` and
+    :meth:`partition_with_probe` read only the candidate's source uplink
+    (``LinkRef.uplink(source)``) and destination downlink
+    (``LinkRef.downlink(destination)``) from ``loads``, and no other
+    state. The admission controller's assessment memo relies on it: it
+    reuses a decision for ``(source, destination, spec)`` while those
+    two links' cache epochs are unchanged.
     """
 
     #: Short name used in reports and experiment legends.
     name: str = "dps"
-
-    #: True when the scheme's choice (and any probing) depends *only* on
-    #: the candidate's two endpoint links -- the source uplink and the
-    #: destination downlink. The admission controller then memoizes whole
-    #: assessments keyed by ``(source, destination, spec)`` and
-    #: invalidates them via those two links' cache epochs alone. A scheme
-    #: that consults any other link (or non-link state) must leave this
-    #: False (the conservative default) or the memo would serve stale
-    #: decisions.
-    local_only: bool = False
 
     @abc.abstractmethod
     def partition(
@@ -227,7 +225,6 @@ class SymmetricDPS(DeadlinePartitioningScheme):
     """
 
     name = "sdps"
-    local_only = True  # state-invariant, a fortiori endpoint-local
 
     def partition(
         self,
@@ -250,7 +247,6 @@ class AsymmetricDPS(DeadlinePartitioningScheme):
     """
 
     name = "adps"
-    local_only = True  # reads only the two endpoint LinkLoads
 
     def partition(
         self,

@@ -54,7 +54,6 @@ class UtilizationDPS(DeadlinePartitioningScheme):
     """
 
     name = "udps"
-    local_only = True  # reads only the two endpoint utilizations
 
     def partition(
         self,
@@ -90,7 +89,6 @@ class LaxityDPS(DeadlinePartitioningScheme):
     """
 
     name = "ldps"
-    local_only = True  # reads only the two endpoint LinkLoads
 
     def partition(
         self,
@@ -146,9 +144,6 @@ class SearchDPS(DeadlinePartitioningScheme):
     """
 
     name = "searchdps"
-    # Probes test only the two endpoint links, so the whole search is a
-    # pure function of their state -- memoizable like ADPS.
-    local_only = True
 
     def __init__(
         self, max_probes: int | None = None, *, strict: bool = False
@@ -200,7 +195,6 @@ class _AdpsHeuristic(DeadlinePartitioningScheme):
     """Internal: ADPS arithmetic reused as SearchDPS's starting point."""
 
     name = "adps-heuristic"
-    local_only = True
 
     def partition(
         self,

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable
 from ..core.channel import ChannelSpec
 from ..core.feasibility import FeasibilityReport, is_feasible
 from ..core.feasibility_cache import FeasibilityCache
-from ..core.task import LinkRef, LinkDirection, LinkTask
+from ..core.task import LinkRef, LinkTask
 from ..errors import PartitioningError, UnknownChannelError
 from .graph import FabricGraph, FabricLink
 from .partitioning import MultiHopDPS
@@ -52,12 +52,12 @@ class MultiAdmissionDecision:
 
 
 def _link_ref(link: FabricLink) -> LinkRef:
-    """Map a fabric link onto a LinkRef so LinkTask can reuse validation.
+    """The (interned) LinkRef that keys a fabric link in the task store.
 
-    The direction enum is vestigial here (every fabric link is just "a
-    processor"); we encode the full directed pair in the node field.
+    The direction is vestigial here (every fabric link is just "a
+    processor"); the full directed pair is encoded in the node field.
     """
-    return LinkRef(node=f"{link.tail}->{link.head}", direction=LinkDirection.UPLINK)
+    return LinkRef.uplink(f"{link.tail}->{link.head}")
 
 
 class MultiSwitchAdmission:
@@ -76,9 +76,12 @@ class MultiSwitchAdmission:
         A k-way deadline-partitioning scheme.
     use_cache:
         When True (default), per-link feasibility goes through the
-        incremental :class:`~repro.core.feasibility_cache.FeasibilityCache`
-        (one entry per directed fabric link); decisions are identical to
-        the from-scratch path, just cheaper per request.
+        incremental ``check``/``batch_check`` of the admission's task
+        store, a :class:`~repro.core.feasibility_cache.FeasibilityCache`
+        with one entry per directed fabric link; decisions are identical
+        to the from-scratch path, just cheaper per request. With False
+        the store is only read (``tasks_on``) and every link is tested
+        with :func:`~repro.core.feasibility.is_feasible`.
     """
 
     def __init__(
@@ -91,16 +94,18 @@ class MultiSwitchAdmission:
         fabric.validate_connected()
         self._fabric = fabric
         self._dps = dps
-        self._tasks: dict[FabricLink, list[LinkTask]] = {}
         self._channels: dict[int, MultiAdmissionDecision] = {}
-        self._cache = FeasibilityCache() if use_cache else None
+        #: The per-link task store: every admitted channel's supposed
+        #: tasks, keyed by ``_link_ref`` of their fabric link.
+        self._links = FeasibilityCache()
+        self._use_cache = use_cache
         self._next_id = 1
         self.accept_count = 0
         self.reject_count = 0
 
     @property
     def uses_cache(self) -> bool:
-        return self._cache is not None
+        return self._use_cache
 
     @property
     def fabric(self) -> FabricGraph:
@@ -112,10 +117,10 @@ class MultiSwitchAdmission:
 
     def link_load(self, link: FabricLink) -> int:
         """LinkLoad of one directed fabric link (paper's ``LL``)."""
-        return len(self._tasks.get(link, ()))
+        return self._links.link_load(_link_ref(link))
 
     def tasks_on(self, link: FabricLink) -> tuple[LinkTask, ...]:
-        return tuple(self._tasks.get(link, ()))
+        return self._links.tasks_on(_link_ref(link))
 
     @property
     def decisions(self) -> dict[int, MultiAdmissionDecision]:
@@ -125,7 +130,13 @@ class MultiSwitchAdmission:
     def occupied_links(self) -> tuple[FabricLink, ...]:
         """Directed fabric links currently carrying at least one task."""
         return tuple(
-            sorted(link for link, tasks in self._tasks.items() if tasks)
+            sorted(
+                {
+                    link
+                    for decision in self._channels.values()
+                    for link in decision.links
+                }
+            )
         )
 
     def channel_delay_bounds(self) -> dict[int, "PathBound"]:
@@ -189,11 +200,11 @@ class MultiSwitchAdmission:
                 channel_id=channel_id,
             )
             candidate_tasks.append(task)
-            if self._cache is not None:
-                report = self._cache.check(task)
+            if self._use_cache:
+                report = self._links.check(task)
             else:
                 report = is_feasible(
-                    list(self._tasks.get(link, ())) + [task]
+                    list(self._links.tasks_on(task.link)) + [task]
                 )
             reports.append(report)
             if not report.feasible:
@@ -209,13 +220,9 @@ class MultiSwitchAdmission:
                     reports=tuple(reports),
                     failed_link=link,
                 )
-        # install (cache first: its drift guard then sees a consistent
-        # count once self._tasks catches up)
         self._next_id += 1
-        for link, task in zip(links, candidate_tasks):
-            if self._cache is not None:
-                self._cache.install(task)
-            self._tasks.setdefault(link, []).append(task)
+        for task in candidate_tasks:
+            self._links.install(task)
         decision = MultiAdmissionDecision(
             accepted=True,
             channel_id=channel_id,
@@ -241,10 +248,9 @@ class MultiSwitchAdmission:
         it seeds exactly the memo entries the scalar checks would
         create, so decisions are unchanged.
         """
-        cache = self._cache
-        if cache is None:
+        if not self._use_cache:
             return
-        by_link: dict[FabricLink, list[LinkTask]] = {}
+        by_link: dict[LinkRef, list[LinkTask]] = {}
         seen: set[tuple[str, str, ChannelSpec]] = set()
         for source, destination, spec in requests:
             key = (source, destination, spec)
@@ -264,17 +270,18 @@ class MultiSwitchAdmission:
             except PartitioningError:
                 continue
             for link, part in zip(links, parts):
-                by_link.setdefault(link, []).append(
+                ref = _link_ref(link)
+                by_link.setdefault(ref, []).append(
                     LinkTask(
-                        link=_link_ref(link),
+                        link=ref,
                         period=spec.period,
                         capacity=spec.capacity,
                         deadline=part,
                         channel_id=-1,
                     )
                 )
-        for link, candidates in by_link.items():
-            cache.batch_check(_link_ref(link), candidates)
+        for ref, candidates in by_link.items():
+            self._links.batch_check(ref, candidates)
 
     def admit_many(
         self, requests: "Iterable[tuple[str, str, ChannelSpec]]"
@@ -320,10 +327,5 @@ class MultiSwitchAdmission:
                 f"no active multi-hop channel {channel_id}"
             )
         for link in decision.links:
-            if self._cache is not None:
-                self._cache.release(_link_ref(link), channel_id)
-            tasks = self._tasks.get(link, [])
-            self._tasks[link] = [
-                t for t in tasks if t.channel_id != channel_id
-            ]
+            self._links.release(_link_ref(link), channel_id)
         return decision

@@ -13,8 +13,10 @@ every single operation:
 * the per-link reservation state: ``link_load`` and exact
   ``link_utilization`` (as :class:`~fractions.Fraction`) on every
   occupied link,
-* the cached controller's own :class:`FeasibilityCache` view against its
-  shared state (the cache must never drift from the bookkeeping).
+* the cached controller's running per-link figures (the task store's
+  incrementally maintained ``link_load`` and ``link_utilization``)
+  against the same figures recomputed from scratch from its
+  ``tasks_on`` (the incremental bookkeeping must never drift).
 
 Trials cycle through partitioning schemes -- SDPS, ADPS, utilization-
 and laxity-weighted, and a strict :class:`~repro.core.partitioning_ext.SearchDPS`
@@ -48,6 +50,7 @@ import numpy as np
 
 from ..core.admission import AdmissionController, SystemState
 from ..core.channel import ChannelSpec
+from ..core.feasibility import utilization
 from ..core.partitioning import (
     AsymmetricDPS,
     DeadlinePartitioningScheme,
@@ -204,7 +207,8 @@ def _compare_links(
     naive: AdmissionController,
     links: tuple[LinkRef, ...],
 ) -> str | None:
-    """Per-link parity of the two states *and* the cache itself."""
+    """Per-link parity of the two states, and of the cached state's
+    running figures against a from-scratch recount."""
     for link in links:
         load_c = cached.state.link_load(link)
         load_n = naive.state.link_load(link)
@@ -214,17 +218,17 @@ def _compare_links(
         util_n = naive.state.link_utilization(link)
         if util_c != util_n:
             return f"link_utilization({link}) cached={util_c} naive={util_n}"
-        cache = cached.cache
-        assert cache is not None
-        if cache.link_load(link) != load_c:
+        tasks = cached.state.tasks_on(link)
+        if load_c != len(tasks):
             return (
-                f"cache drift on {link}: cache load "
-                f"{cache.link_load(link)} != state load {load_c}"
+                f"cache drift on {link}: running load {load_c} != "
+                f"{len(tasks)} installed tasks"
             )
-        if cache.link_utilization(link) != util_c:
+        recount = utilization(tasks)
+        if util_c != recount:
             return (
-                f"cache drift on {link}: cache util "
-                f"{cache.link_utilization(link)} != state util {util_c}"
+                f"cache drift on {link}: running util {util_c} != "
+                f"from-scratch util {recount}"
             )
     return None
 

@@ -407,3 +407,20 @@ class TestCachedControllerEquivalence:
         ) == ctrl.state.link_utilization(up)
         # The freed capacity is immediately usable again.
         assert ctrl.request("a", "b", paper_spec).accepted
+
+    def test_reference_controller_only_reads_the_store(self, paper_spec):
+        """use_cache=False decides from scratch: it reads tasks_on and
+        runs is_feasible, never the store's cached checks or the memo."""
+        naive = AdmissionController(
+            SystemState(NODES), SearchDPS(strict=True), use_cache=False
+        )
+        assert naive.cache is None
+        burst = [("a", "b", paper_spec)] * 20 + [("c", "b", paper_spec)] * 5
+        naive.admit_many(burst)
+        naive.request("d", "b", paper_spec)
+        naive.preview("a", "c", paper_spec)
+        stats = naive.state.links.stats
+        assert stats.checks == 0
+        assert stats.batch_calls == 0
+        assert stats.installs == 2 * naive.accept_count > 0
+        assert naive._assess_memo == {}

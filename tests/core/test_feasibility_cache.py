@@ -5,13 +5,14 @@ The cache's contract is *verdict equality* with the from-scratch
 ``check`` / ``install`` / ``release`` -- these tests drive randomized
 histories against a mirrored reference task list and also pin each
 internal fast path (density shortcut, beyond-horizon shortcut, sticky
-infeasible memo, graft-on-install, drift resync, size-guard fallback)
+infeasible memo, graft-on-install, shared store, size-guard fallback)
 individually so a regression names the mechanism that broke.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -281,43 +282,36 @@ class TestFallbacks:
 
 
 class TestDriftResync:
-    def test_external_state_mutation_triggers_resync(self, paper_spec):
+    """The store is the state's only copy of its per-link tasks: every
+    install, by any caller, is visible to the next check."""
+
+    def test_state_install_is_seen_by_next_check(self, paper_spec):
         state = SystemState(["a", "b"])
-        cache = FeasibilityCache(state)
         up = LinkRef.uplink("a")
         candidate = task(100, 3, 20, link=up)
-        assert cache.check(candidate).feasible
-        # Mutate the shared state behind the cache's back (the
-        # documented escape hatch is count-changing mutations).
+        assert state.links.check(candidate).feasible
+        # SystemState.install is the persistence.restore path: it writes
+        # the same store the admission check reads.
         channel = RTChannel(source="a", destination="b", spec=paper_spec)
         channel.channel_id = 1
         channel.assign_partition(DeadlinePartition(uplink=20, downlink=20))
         channel.state = ChannelState.ACTIVE
         state.install(channel)
-        report = cache.check(candidate)
-        assert cache.stats.resyncs >= 1
+        assert state.links.link_load(up) == 1
+        report = state.links.check(candidate)
         want = reference(state.tasks_on(up), candidate)
         assert report.feasible == want.feasible
         assert report.link_utilization == want.link_utilization
+        assert report.link_utilization == Fraction(6, 100)
 
     def test_epoch_advances_on_every_mutation(self):
         cache = FeasibilityCache()
-        first = cache.epoch_of(LINK)
+        first = cache.entry(LINK).epoch
         cache.install(task(100, 3, 40, 0))
-        second = cache.epoch_of(LINK)
+        second = cache.entry(LINK).epoch
         cache.release(LINK, 0)
-        third = cache.epoch_of(LINK)
+        third = cache.entry(LINK).epoch
         assert first < second < third
-
-    def test_invalidate_forgets_entries(self):
-        cache = FeasibilityCache()
-        cache.install(task(100, 3, 40, 0))
-        assert cache.link_load(LINK) == 1
-        cache.invalidate(LINK)
-        assert cache.link_load(LINK) == 0  # authoritative cache: empty
-        cache.install(task(100, 3, 40, 1))
-        cache.invalidate()
-        assert cache.link_load(LINK) == 0
 
 
 class TestMultiLinkIndependence:
