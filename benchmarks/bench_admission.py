@@ -1,26 +1,26 @@
-"""EXP-A1/EXP-P2: admission fast-path speedup, cached vs from-scratch.
+"""EXP-P2 / EXP-P7: the admission fast path and the batch engine.
 
 Times the Figure 18.5 admission sweep (10 masters, 50 slaves, the
-paper's ``P=100, C=3, d=40`` spec, 200 requests x 5 seeded trials)
-through two :class:`~repro.core.admission.AdmissionController` builds
-fed the identical request sequences: one deciding through the
-incremental :class:`~repro.core.feasibility_cache.FeasibilityCache`,
-one re-running the from-scratch
-:func:`~repro.core.feasibility.is_feasible` per request.
+paper's ``P=100, C=3, d=40`` spec, seed 2004) in reference seconds
+(``timing.timed``), so the gates hold on a slower or busier host:
 
-Two properties are asserted, not just printed:
+* **EXP-P2** -- controllers deciding through the incremental
+  :class:`~repro.core.feasibility_cache.FeasibilityCache` against
+  controllers re-running the from-scratch
+  :func:`~repro.core.feasibility.is_feasible` per request (200
+  requests x 5 trials). The decision streams must be identical and the
+  median per-pair speedup at least 5x for SDPS, the paper's baseline
+  scheme, and 3.5x for ADPS, whose partition choices shift more work
+  into non-memoizable territory.
+* **EXP-P7** -- ``admit_many`` on a 10 000-request burst. A cold burst
+  must decide exactly as the scalar loop does; the saturated storm (a
+  second identical burst against a full network: pure template/memo
+  traffic, the ROADMAP's 10^6 decisions/s regime) must decide exactly
+  as the scalar loop on an identically saturated controller, clear
+  :data:`_STORM_RATE_FLOOR` and beat the scalar cached loop timed in
+  the same run by at least 10x.
 
-* **parity** -- the decision streams must be identical (every run of
-  this benchmark doubles as a differential test), and
-* **speedup** -- the cached path must be at least 5x faster than the
-  from-scratch path on the paper's baseline SDPS sweep (the PR that
-  introduced the cache measured ~6.4x for SDPS and ~5x for ADPS on a
-  quiet machine; the ADPS floor is set lower because its partition
-  choices shift more work into non-memoizable territory).
-
-Timing uses best-of-N (minimum over ``repeats``) with the collector
-paused -- the workload is deterministic, so disturbances only ever add
-time. Run with ``-s`` to see the timing tables.
+Run with ``-s`` to see the readings.
 """
 
 from __future__ import annotations
@@ -28,178 +28,141 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import format_table
-from repro.experiments.admission_perf import (
-    AdmissionPerfConfig,
-    run_admission_perf,
-    run_batch_perf,
-)
+from repro.core.admission import AdmissionController, SystemState
+from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
+from repro.experiments.base import trial_requests
+from repro.traffic.patterns import master_slave_names, master_slave_requests
+from repro.traffic.spec import FixedSpecSampler
 
-#: Speedup floors asserted on the Fig. 18.5 sweep at 200 requested
-#: channels. SDPS is the paper's baseline scheme and the headline
-#: number; ADPS gets a regression floor (its measured speedup sits
-#: right at ~5x and shared machines jitter ratios by ~10%).
+from timing import paired_ratios, timed
+
+_SCHEMES = {"sdps": SymmetricDPS, "adps": AsymmetricDPS}
+#: EXP-P2 floors on the median naive/cached ratio.
 _SPEEDUP_FLOOR = {"sdps": 5.0, "adps": 3.5}
+#: EXP-P7 storm floor in reference decisions/s (decisions over
+#: reference seconds): 0.57x the 1.41 M median storm rate (best of 5,
+#: both schemes, 10 runs each) measured on the 2-CPU reference host,
+#: the headroom the earlier host-time floor (850 k against ~1.48 M) had.
+_STORM_RATE_FLOOR = 810_000.0
+#: Storm rate over the scalar cached rate of the same run.
+_STORM_OVER_SCALAR_FLOOR = 10.0
+REPEATS = 5
 
 
-def _print_result(result, capsys) -> None:
-    rows = [[
-        result.config.scheme,
-        result.decisions,
-        result.accepts,
-        f"{result.naive_seconds * 1000:.1f}",
-        f"{result.cached_seconds * 1000:.1f}",
-        f"{result.speedup:.2f}x",
-        "OK" if result.parity else "VIOLATED",
-    ]]
-    with capsys.disabled():
-        print()
-        print(format_table(
-            ["scheme", "decisions", "accepts", "naive ms", "cached ms",
-             "speedup", "parity"],
-            rows,
-            title="admission fast path -- Fig. 18.5 sweep, 200 requests",
-        ))
+def fig18_5_sweep(requests: int, trials: int):
+    """The Fig. 18.5 node set and one request sequence per trial."""
+    masters, slaves = master_slave_names(10, 50)
+    sampler = FixedSpecSampler.paper_default()
+
+    def factory(count, rng):
+        return master_slave_requests(masters, slaves, count, sampler, rng)
+
+    return masters + slaves, [
+        trial_requests(factory, 2004, trial, requests)
+        for trial in range(trials)
+    ]
+
+
+def _scalar_sweep(nodes, sequences, scheme, use_cache=True):
+    """Build one controller per sequence off the clock; return the
+    callable that feeds each its sequence request by request."""
+    controllers = [
+        AdmissionController(
+            SystemState(nodes=nodes), _SCHEMES[scheme](), use_cache=use_cache,
+        )
+        for _ in sequences
+    ]
+    return lambda: [
+        controller.request(r.source, r.destination, r.spec).accepted
+        for controller, requests in zip(controllers, sequences)
+        for r in requests
+    ]
 
 
 @pytest.mark.parametrize("scheme", ["sdps", "adps"])
 def test_bench_admission_speedup(scheme, capsys):
-    """Cached admission beats from-scratch by the asserted floor."""
-    result = run_admission_perf(
-        AdmissionPerfConfig(scheme=scheme, repeats=3)
+    """EXP-P2: cached admission beats from-scratch by the floor."""
+    nodes, sequences = fig18_5_sweep(200, 5)
+    speedup, ratios, naive, cached = paired_ratios(
+        lambda: _scalar_sweep(nodes, sequences, scheme, use_cache=False),
+        lambda: _scalar_sweep(nodes, sequences, scheme),
+        REPEATS,
     )
-    _print_result(result, capsys)
-    assert result.parity, (
-        "cached and from-scratch controllers diverged on the "
-        f"{scheme} sweep"
+    with capsys.disabled():
+        print(f"\nEXP-P2 {scheme}: {len(cached)} decisions, "
+              f"{sum(cached)} accepted, naive/cached "
+              f"{[round(r, 2) for r in ratios]} -> median {speedup:.2f}x")
+    assert naive == cached, (
+        f"cached and from-scratch controllers diverged on {scheme}"
     )
-    floor = _SPEEDUP_FLOOR[scheme]
-    assert result.speedup >= floor, (
+    assert speedup >= _SPEEDUP_FLOOR[scheme], (
         f"cached admission speedup regressed on {scheme}: "
-        f"{result.speedup:.2f}x < {floor}x "
-        f"(naive {result.naive_seconds * 1000:.1f} ms, "
-        f"cached {result.cached_seconds * 1000:.1f} ms)"
+        f"{speedup:.2f}x < {_SPEEDUP_FLOOR[scheme]}x"
     )
-
-
-#: EXP-P7 floors. The saturated-storm regime (second identical burst on
-#: a full network: pure template/memo traffic) is the ROADMAP's
-#: 10^6 decisions/sec target; quiet machines measure ~1.45M dec/s for
-#: SDPS and ~1.5M for ADPS at 10k-request bursts, so the absolute floor
-#: keeps ~40% headroom for shared CI boxes. The relative floor pins the
-#: batch engine's gain over the PR 2 scalar-cached path *measured in
-#: the same process* at its canonical 200-request Fig. 18.5 config
-#: (~30-60k dec/s), where ratios are robust to machine speed.
-_STORM_RATE_FLOOR = 850_000.0
-_STORM_OVER_PR2_FLOOR = 10.0
 
 
 @pytest.mark.parametrize("scheme", ["sdps", "adps"])
 def test_bench_admission_batch_engine(scheme, capsys):
-    """EXP-P7: admit_many hits the 10^6 dec/s storm target, stream-equal.
-
-    Three regimes on identical request sequences: the PR 2 scalar
-    cached loop at its canonical config, a cold admit_many burst
-    (prefetch + fresh decisions), and the saturated storm (a second
-    identical burst against a full network). Parity is asserted on both
-    batch regimes -- every run doubles as a differential test -- then
-    the storm must clear the absolute 10^6-class floor *and* beat the
-    same-process PR 2 cached rate by >= 10x.
-    """
-    pr2 = run_admission_perf(AdmissionPerfConfig(scheme=scheme, repeats=3))
-    assert pr2.parity
-    pr2_rate = pr2.decisions / pr2.cached_seconds
-    result = run_batch_perf(
-        AdmissionPerfConfig(
-            scheme=scheme, requests=10_000, trials=1, repeats=3
-        )
+    """EXP-P7: admit_many clears the storm floor, stream-equal."""
+    nodes, sequences = fig18_5_sweep(200, 5)
+    scalar_s = min(
+        timed(_scalar_sweep(nodes, sequences, scheme))[0]
+        for _ in range(REPEATS)
     )
-    rows = [[
-        scheme,
-        result.decisions,
-        f"{pr2_rate:,.0f}",
-        f"{result.scalar_rate:,.0f}",
-        f"{result.batched_rate:,.0f}",
-        f"{result.storm_rate:,.0f}",
-        f"{result.storm_rate / pr2_rate:.1f}x",
-        "OK" if result.batch_parity and result.storm_parity else "VIOLATED",
-    ]]
+    scalar_rate = 200 * 5 / scalar_s
+
+    nodes, (requests,) = fig18_5_sweep(10_000, 1)
+    burst = [(r.source, r.destination, r.spec) for r in requests]
+
+    def controller():
+        return AdmissionController(SystemState(nodes=nodes), _SCHEMES[scheme]())
+
+    cold = [d.accepted for d in controller().admit_many(burst)]
+    assert cold == _scalar_sweep(nodes, [requests], scheme)(), (
+        f"admit_many diverged from the scalar loop on {scheme}"
+    )
+
+    storm_s = float("inf")
+    for _ in range(REPEATS):
+        saturated = controller()
+        saturated.admit_many(burst)  # untimed: fill the network
+        hits_before = saturated.batch_template_hits
+        seconds, decided = timed(lambda: saturated.admit_many(burst))
+        storm_s = min(storm_s, seconds)
+    storm_decisions = [d.accepted for d in decided]
+    storm_hits = saturated.batch_template_hits - hits_before
+    storm_rate = len(burst) / storm_s
+
+    replay = controller()
+    replay.admit_many(burst)
+    scalar_storm = [
+        replay.request(source, destination, spec).accepted
+        for source, destination, spec in burst
+    ]
+
     with capsys.disabled():
         print()
         print(format_table(
-            ["scheme", "decisions", "pr2 dec/s", "scalar dec/s",
-             "cold dec/s", "storm dec/s", "storm/pr2", "parity"],
-            rows,
-            title="batch admission engine -- EXP-P7 (10k-request bursts)",
+            ["scheme", "scalar ref dec/s", "storm ref dec/s", "storm/scalar",
+             "template hits"],
+            [[scheme, f"{scalar_rate:,.0f}", f"{storm_rate:,.0f}",
+              f"{storm_rate / scalar_rate:.1f}x", storm_hits]],
+            title="EXP-P7 batch admission engine (10k-request storm)",
         ))
-    assert result.batch_parity, (
-        f"admit_many diverged from the scalar loop on the {scheme} sweep"
+    assert storm_decisions == scalar_storm, (
+        f"saturated-storm admit_many diverged from the scalar replay on "
+        f"{scheme}"
     )
-    assert result.storm_parity, (
-        f"saturated-storm admit_many diverged from the scalar replay "
-        f"on {scheme}"
+    assert storm_hits > 0, (
+        "storm burst never hit the template path; the measured regime is "
+        "not the one the floor describes"
     )
-    assert result.storm_template_hits > 0, (
-        "storm burst never hit the template path; the measured regime "
-        "is not the one the floor describes"
+    assert storm_rate >= _STORM_RATE_FLOOR, (
+        f"storm throughput regressed on {scheme}: {storm_rate:,.0f} "
+        f"< {_STORM_RATE_FLOOR:,.0f} reference dec/s"
     )
-    assert result.storm_rate >= _STORM_RATE_FLOOR, (
-        f"storm throughput regressed on {scheme}: "
-        f"{result.storm_rate:,.0f} dec/s < {_STORM_RATE_FLOOR:,.0f}"
+    assert storm_rate >= _STORM_OVER_SCALAR_FLOOR * scalar_rate, (
+        f"storm admit_many no longer clears {_STORM_OVER_SCALAR_FLOOR}x "
+        f"the scalar cached path on {scheme}: {storm_rate:,.0f} vs "
+        f"{scalar_rate:,.0f} reference dec/s"
     )
-    assert result.storm_rate >= _STORM_OVER_PR2_FLOOR * pr2_rate, (
-        f"storm admit_many no longer clears {_STORM_OVER_PR2_FLOOR}x "
-        f"the PR 2 cached path on {scheme}: {result.storm_rate:,.0f} "
-        f"vs {pr2_rate:,.0f} dec/s"
-    )
-
-
-def test_bench_admission_cache_does_incremental_work(capsys):
-    """The speedup comes from the advertised mechanisms, not a fluke.
-
-    The cache's own counters must show the fast paths carrying the
-    sweep: memo hits plus incremental overlays plus shortcut accepts
-    account for every check, and the from-scratch fallback never fires
-    on the paper workload.
-    """
-    result = run_admission_perf(AdmissionPerfConfig(repeats=1))
-    stats = result.cache_stats
-    with capsys.disabled():
-        print()
-        print(f"  cache stats: {stats}")
-    assert stats["full_fallbacks"] == 0
-    fast = (
-        stats["memo_hits"]
-        + stats["incremental_checks"]
-        + stats["shortcut_accepts"]
-    )
-    assert fast == stats["checks"]
-    assert stats["memo_hits"] > 0
-    assert stats["installs"] == 2 * result.accepts
-
-
-def test_bench_admission_registry_metrics_agree(capsys):
-    """The telemetry registry's view matches the cache's own counters.
-
-    ``collect_metrics`` replays the cached sweep once, untimed, with a
-    metrics registry attached; the flattened snapshot must agree with
-    the raw cache stats and the verdict counters must account for every
-    decision. This is the ``repro bench-admission --metrics`` path.
-    """
-    result = run_admission_perf(
-        AdmissionPerfConfig(repeats=1, collect_metrics=True)
-    )
-    metrics = result.registry_metrics
-    assert metrics is not None
-    with capsys.disabled():
-        print()
-        for key in sorted(metrics):
-            print(f"  {key} = {metrics[key]:g}")
-    for stat in ("checks", "memo_hits", "incremental_checks",
-                 "shortcut_accepts", "full_fallbacks", "installs"):
-        assert metrics[f"feasibility_cache.{stat}"] == (
-            result.cache_stats[stat]
-        ), f"registry disagrees with cache counter {stat!r}"
-    accepts = metrics.get("admission.decisions{verdict=accept}", 0)
-    rejects = metrics.get("admission.decisions{verdict=reject}", 0)
-    assert accepts == result.accepts
-    assert accepts + rejects == result.decisions

@@ -1,34 +1,25 @@
 """EXP-P5 benchmark: parallel-sweep speedup and worker invariance.
 
-Measures wall-clock time of the Figure 18.5 acceptance sweep at several
-worker counts and asserts two properties of the parallel runner:
+Times the Figure 18.5 acceptance sweep serially and with 4 workers and
+asserts two properties of the parallel runner:
 
 * **invariance** -- the resulting :class:`AcceptanceCurve` is identical
   at every worker count (the sweep fans pure (trial, scheme) work units
   whose seeds derive only from the trial index);
 * **speedup** -- on a machine with >= 4 CPUs, 4 workers finish the
-  sweep at least 2x faster than serial. The assertion is gated on the
-  visible CPU count so single-core CI containers still verify
-  invariance and report timings honestly.
-
-Runnable two ways:
-
-* ``pytest benchmarks/bench_parallel.py --benchmark-only -s`` (reduced
-  trial count from the session fixture);
-* ``python benchmarks/bench_parallel.py --trials 100 --workers 1 2 4
-  --json out/bench_parallel.json`` for the full EXP-P5 measurement.
+  sweep at least 2x faster than the serial run timed beside it. The
+  assertion is gated on the visible CPU count so smaller hosts still
+  verify invariance and report timings honestly.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import time
 
 from repro.experiments.fig18_5 import Fig185Config, run_fig18_5
-from repro.experiments.runner import resolve_workers
+
+TRIALS = 8
 
 
 def visible_cpus() -> int:
@@ -38,110 +29,25 @@ def visible_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def sweep_times(
-    trials: int, worker_counts: list[int]
-) -> tuple[dict[int, float], list]:
-    """Run the Fig. 18.5 sweep at each worker count; time each run.
-
-    Returns ``(times, results)`` with ``times[w]`` in seconds and the
-    corresponding experiment results (all of which must be identical).
-    """
-    times: dict[int, float] = {}
-    results = []
-    for workers in worker_counts:
-        config = Fig185Config(trials=trials, workers=workers)
-        start = time.perf_counter()
-        result = run_fig18_5(config)
-        times[workers] = time.perf_counter() - start
-        results.append(result)
-    return times, results
-
-
-def timing_report(trials: int, times: dict[int, float]) -> dict:
-    serial = times.get(1)
-    return {
-        "experiment": "EXP-P5",
-        "trials": trials,
-        "visible_cpus": visible_cpus(),
-        "runs": [
-            {
-                "workers": workers,
-                "wall_s": round(elapsed, 4),
-                "speedup_vs_serial": (
-                    round(serial / elapsed, 3)
-                    if serial and elapsed > 0 else None
-                ),
-            }
-            for workers, elapsed in sorted(times.items())
-        ],
-    }
-
-
-def test_exp_p5_parallel_speedup(trials, capsys):
+def test_exp_p5_parallel_speedup(capsys):
     """EXP-P5: identical curve at every worker count; timed speedup."""
-    worker_counts = [1, 4]
-    times, results = sweep_times(trials, worker_counts)
-    baseline = results[0].curve
-    for result in results[1:]:
-        assert result.curve == baseline, (
-            "parallel sweep diverged from serial"
-        )
-    report = timing_report(trials, times)
-    with capsys.disabled():
-        print()
-        print(json.dumps(report, indent=2))
+    times: dict[int, float] = {}
+    curves = {}
+    for workers in (1, 4):
+        start = time.perf_counter()
+        curves[workers] = run_fig18_5(
+            Fig185Config(trials=TRIALS, workers=workers)
+        ).curve
+        times[workers] = time.perf_counter() - start
+    assert curves[4] == curves[1], "parallel sweep diverged from serial"
     cpus = visible_cpus()
+    speedup = times[1] / times[4]
+    with capsys.disabled():
+        print(f"\nEXP-P5: {TRIALS} trials on {cpus} CPUs, serial "
+              f"{times[1]:.3f} s, 4 workers {times[4]:.3f} s "
+              f"({speedup:.2f}x)")
     if cpus >= 4:
-        assert times[1] / times[4] >= 2.0, (
+        assert speedup >= 2.0, (
             f"expected >= 2x speedup with 4 workers on {cpus} CPUs, "
-            f"got {times[1] / times[4]:.2f}x"
+            f"got {speedup:.2f}x"
         )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="EXP-P5: time the Fig. 18.5 sweep at several "
-        "worker counts"
-    )
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=[1, 2, 4],
-        help="worker counts to time (0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--json", type=str, default=None, metavar="PATH",
-        help="write the timing report as JSON to PATH",
-    )
-    args = parser.parse_args(argv)
-
-    times, results = sweep_times(args.trials, args.workers)
-    baseline = results[0].curve
-    for workers, result in zip(args.workers[1:], results[1:]):
-        if result.curve != baseline:
-            print(
-                f"FAIL: curve at workers={workers} differs from "
-                f"workers={args.workers[0]}",
-                file=sys.stderr,
-            )
-            return 1
-    report = timing_report(args.trials, times)
-    for run in report["runs"]:
-        resolved = resolve_workers(run["workers"])
-        speedup = run["speedup_vs_serial"]
-        extra = f", {speedup:.3f}x vs serial" if speedup else ""
-        print(
-            f"workers={run['workers']} (resolved {resolved}): "
-            f"{run['wall_s']:.3f} s{extra}"
-        )
-    print("curves identical across worker counts: True")
-    if args.json:
-        os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"timing report written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,254 +1,141 @@
-"""EXP-O2: metrics overhead on the admission hot path.
+"""EXP-O2 / EXP-O4: telemetry overhead on the admission hot path.
 
 The telemetry design claims metrics are *cheap enough to stay enabled
 in benchmarks*: hot-path instrumentation is a handful of pre-bound
 counter increments per admission decision, and everything else
-(collectors, snapshots) runs off the hot path. This benchmark holds
+(collectors, snapshots) runs off the hot path. These benchmarks hold
 the claim to a number on the reproduction's hottest loop -- the
-Figure 18.5 admission sweep (200 requests x 5 trials) -- by timing the
-identical cached sweep bare and with a registry attached (tracing off,
-which is the always-on configuration the claim is about).
+Figure 18.5 admission sweep (SDPS, 200 requests x 5 trials).
 
 Asserted, not just printed:
 
 * **determinism** -- both sides produce the identical decision stream
   (instrumentation must never change outcomes), and
-* **overhead** -- the instrumented sweep takes at most 10% longer than
-  the bare sweep (best-of-N, GC paused, same estimator as
-  ``bench_admission``; the PR that introduced the registry measured
-  ~2-4% on a quiet machine).
+* **overhead** -- EXP-O2: the sweep with a metrics registry attached
+  (tracing off, the always-on configuration) takes at most 1.10x the
+  bare sweep; EXP-O4: spans plus the invariant monitor take at most
+  1.05x the metrics-only sweep.
 
-Run with ``-s`` to see the timing table.
+Each gate alternates the two sides over :data:`PAIRS` pairs of runs of
+:data:`ROUNDS` sweeps each, times every run in reference seconds
+(``timing.timed``; a run of several sweeps spans several samples of
+the host's speed) and gates the median of the per-pair ratios. Run
+with ``-s`` to see the readings.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-
 from repro.analysis.report import format_table
 from repro.core.admission import AdmissionController, SystemState
 from repro.core.partitioning import SymmetricDPS
-from repro.experiments.admission_perf import (
-    AdmissionPerfConfig,
-    _request_sequences,
-)
+from repro.experiments.base import run_requests
 from repro.obs import Telemetry, TelemetryConfig
+
+from bench_admission import fig18_5_sweep
+from timing import paired_ratios
 
 #: Maximum instrumented/bare ratio (EXP-O2 acceptance threshold).
 _OVERHEAD_CEILING = 1.10
+#: Maximum (spans+monitor)/(metrics-only) ratio (EXP-O4 acceptance).
+_SPAN_OVERHEAD_CEILING = 1.05
+#: Alternating bare/instrumented pairs per gate, and sweeps per run.
+PAIRS = 15
+ROUNDS = 4
 
 
-def _one_sweep(nodes, sequences, telemetry):
-    """One cached admission sweep; returns (elapsed_s, decision stream).
-
-    Controller construction and cache tracking happen outside the timed
-    region; only the admission decisions are on the clock (mirroring
-    ``admission_perf._run_side``).
-    """
-    registry = None if telemetry is None else telemetry.registry
-    decisions: list[bool] = []
-    elapsed = 0.0
-    for requests in sequences:
-        controller = AdmissionController(
-            SystemState(nodes=nodes),
-            SymmetricDPS(),
-            use_cache=True,
-            metrics=registry,
-        )
-        if telemetry is not None:
-            telemetry.track_cache(controller.cache)
-        start = time.perf_counter()
-        for request in requests:
-            decision = controller.request(
-                request.source, request.destination, request.spec
-            )
-            decisions.append(decision.accepted)
-        elapsed += time.perf_counter() - start
-    return elapsed, decisions
+def _timed_run_sequences():
+    """The Fig. 18.5 sweep (200 requests x 5 trials) repeated for each
+    of the :data:`ROUNDS` sweeps of one timed run."""
+    nodes, sequences = fig18_5_sweep(200, 5)
+    return nodes, sequences * ROUNDS
 
 
-def _time_sides(nodes, sequences, telemetry, repeats):
-    """Best-of-``repeats`` for the bare and instrumented sweeps.
-
-    The two sides alternate within each repeat so slow drift of the
-    host (frequency scaling, thermal throttling) cannot land on one
-    side only and masquerade as instrumentation overhead.
-    """
-    bare_best = inst_best = float("inf")
-    bare_decisions: list[bool] = []
-    inst_decisions: list[bool] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            elapsed, bare_decisions = _one_sweep(nodes, sequences, None)
-            bare_best = min(bare_best, elapsed)
-            elapsed, inst_decisions = _one_sweep(nodes, sequences, telemetry)
-            inst_best = min(inst_best, elapsed)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return bare_best, bare_decisions, inst_best, inst_decisions
-
-
-def test_bench_metrics_overhead_under_ceiling(capsys):
-    """Enabled metrics cost < 10% on the Fig. 18.5 sweep at 200 requests."""
-    config = AdmissionPerfConfig(requests=200, trials=5, repeats=5)
-    nodes, sequences = _request_sequences(config)
-
-    telemetry = Telemetry(TelemetryConfig(tracing=False))
-    bare_s, bare_decisions, inst_s, inst_decisions = _time_sides(
-        nodes, sequences, telemetry, config.repeats
-    )
-    overhead = inst_s / bare_s if bare_s else 1.0
-
+def _print_gate(capsys, title, median, ratios) -> None:
     with capsys.disabled():
         print()
         print(format_table(
-            ["side", "best ms", "decisions", "accepts"],
-            [
-                ["bare", f"{bare_s * 1000:.1f}", len(bare_decisions),
-                 sum(bare_decisions)],
-                ["metrics on", f"{inst_s * 1000:.1f}", len(inst_decisions),
-                 sum(inst_decisions)],
-                ["overhead", f"{(overhead - 1) * 100:+.1f}%", "", ""],
-            ],
-            title="EXP-O2: metrics overhead -- Fig. 18.5 sweep, 200 requests",
+            ["pairs", "median", "min", "max"],
+            [[len(ratios), f"{(median - 1) * 100:+.1f}%",
+              f"{(min(ratios) - 1) * 100:+.1f}%",
+              f"{(max(ratios) - 1) * 100:+.1f}%"]],
+            title=title,
         ))
+
+
+def test_bench_metrics_overhead_under_ceiling(capsys):
+    """EXP-O2: enabled metrics cost <= 10% on the Fig. 18.5 sweep."""
+    nodes, sequences = _timed_run_sequences()
+    telemetry = Telemetry(TelemetryConfig(tracing=False))
+
+    def prepare(registry):
+        # Controllers are built off the clock; only decisions are timed.
+        controllers = []
+        for _ in sequences:
+            controller = AdmissionController(
+                SystemState(nodes=nodes), SymmetricDPS(), metrics=registry,
+            )
+            if registry is not None:
+                telemetry.track_cache(controller.cache)
+            controllers.append(controller)
+
+        def decide():
+            return [
+                controller.request(r.source, r.destination, r.spec).accepted
+                for controller, requests in zip(controllers, sequences)
+                for r in requests
+            ]
+        return decide
+
+    median, ratios, inst_decisions, bare_decisions = paired_ratios(
+        lambda: prepare(telemetry.registry), lambda: prepare(None), PAIRS,
+    )
+    _print_gate(capsys, "EXP-O2: metrics overhead -- Fig. 18.5 sweep",
+                median, ratios)
 
     assert inst_decisions == bare_decisions, (
         "attaching the metrics registry changed admission decisions"
     )
-    assert overhead <= _OVERHEAD_CEILING, (
-        f"metrics overhead {overhead:.3f}x exceeds the "
-        f"{_OVERHEAD_CEILING}x ceiling (bare {bare_s * 1000:.1f} ms, "
-        f"instrumented {inst_s * 1000:.1f} ms)"
+    assert median <= _OVERHEAD_CEILING, (
+        f"metrics overhead {median:.3f}x exceeds the {_OVERHEAD_CEILING}x "
+        f"ceiling (per-pair ratios {[round(r, 3) for r in ratios]})"
     )
-
     # the instrumented side actually recorded what it claims to record
-    flat = telemetry.snapshot()
-    verdicts = flat["admission.decisions"]["series"]
-    counted = sum(s["value"] for s in verdicts)
-    assert counted == len(inst_decisions) * config.repeats
+    verdicts = telemetry.snapshot()["admission.decisions"]["series"]
+    assert sum(s["value"] for s in verdicts) == len(inst_decisions) * PAIRS
 
 
-#: Maximum (spans+monitor)/(metrics-only) ratio (EXP-O4 acceptance).
-_SPAN_OVERHEAD_CEILING = 1.05
+def test_bench_spans_monitor_overhead_under_ceiling(capsys):
+    """EXP-O4: spans + invariant monitor cost <= 5% over metrics-only.
 
-
-def _one_sweep_run_requests(nodes, sequences, telemetry):
-    """One pass of the Fig. 18.5 sweep through ``run_requests`` (the
-    production hot path: admit_many bursts, span/monitor hooks live)."""
-    from repro.experiments.base import run_requests
-
-    elapsed = 0.0
-    counts: list[int] = []
-    for requests in sequences:
-        start = time.perf_counter()
-        counts.extend(
-            run_requests(nodes, requests, SymmetricDPS(), telemetry=telemetry)
-        )
-        elapsed += time.perf_counter() - start
-    return elapsed, counts
-
-
-def test_bench_spans_monitor_overhead_under_ceiling(capsys, bench_record):
-    """Spans + invariant monitor cost <= 5% over metrics-only (EXP-O4).
-
-    Both sides run with telemetry attached; the delta isolates exactly
-    what the observability PR added to the hot path -- the per-burst
-    span emission and the monitor's (idle, on this workload) hooks.
-    Alternating best-of-N, GC paused, same discipline as the metrics
-    gate above. Decision parity is asserted: attribution must never
-    change outcomes.
+    Both sides run the sweep through ``run_requests`` (the production
+    hot path: admit_many bursts, span/monitor hooks live) with
+    telemetry attached; the delta isolates the per-burst span emission
+    and the monitor's (idle, on this workload) hooks. Attribution must
+    never change outcomes.
     """
-    config = AdmissionPerfConfig(requests=200, trials=5, repeats=5)
-    nodes, sequences = _request_sequences(config)
+    nodes, sequences = _timed_run_sequences()
 
-    base_best = inst_best = float("inf")
-    base_counts: list[int] = []
-    inst_counts: list[int] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(config.repeats):
-            elapsed, base_counts = _one_sweep_run_requests(
-                nodes, sequences, Telemetry(TelemetryConfig(tracing=False))
+    def prepare(**observability):
+        telemetry = Telemetry(TelemetryConfig(tracing=False, **observability))
+        return lambda: [
+            count
+            for requests in sequences
+            for count in run_requests(
+                nodes, requests, SymmetricDPS(), telemetry=telemetry
             )
-            base_best = min(base_best, elapsed)
-            elapsed, inst_counts = _one_sweep_run_requests(
-                nodes, sequences,
-                Telemetry(TelemetryConfig(
-                    tracing=False, spans=True, monitor=True
-                )),
-            )
-            inst_best = min(inst_best, elapsed)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    overhead = inst_best / base_best if base_best else 1.0
-    total_decisions = config.requests * config.trials
+        ]
 
-    with capsys.disabled():
-        print()
-        print(format_table(
-            ["side", "best ms", "final counts"],
-            [
-                ["metrics only", f"{base_best * 1000:.1f}",
-                 str(base_counts)],
-                ["spans+monitor", f"{inst_best * 1000:.1f}",
-                 str(inst_counts)],
-                ["overhead", f"{(overhead - 1) * 100:+.1f}%", ""],
-            ],
-            title="EXP-O4: span+monitor overhead -- Fig. 18.5 sweep",
-        ))
-    bench_record(
-        throughput=total_decisions / inst_best if inst_best else 0.0,
-        overhead_pct=(overhead - 1) * 100,
+    median, ratios, inst_counts, base_counts = paired_ratios(
+        lambda: prepare(spans=True, monitor=True), prepare, PAIRS,
     )
+    _print_gate(capsys, "EXP-O4: span+monitor overhead -- Fig. 18.5 sweep",
+                median, ratios)
 
     assert inst_counts == base_counts, (
         "enabling spans+monitor changed acceptance counts"
     )
-    assert overhead <= _SPAN_OVERHEAD_CEILING, (
-        f"span+monitor overhead {overhead:.3f}x exceeds the "
-        f"{_SPAN_OVERHEAD_CEILING}x ceiling (metrics-only "
-        f"{base_best * 1000:.1f} ms, spans+monitor "
-        f"{inst_best * 1000:.1f} ms)"
+    assert median <= _SPAN_OVERHEAD_CEILING, (
+        f"span+monitor overhead {median:.3f}x exceeds the "
+        f"{_SPAN_OVERHEAD_CEILING}x ceiling "
+        f"(per-pair ratios {[round(r, 3) for r in ratios]})"
     )
-
-
-def test_bench_spans_disabled_byte_identical():
-    """With spans/monitor off, nothing observable changes (EXP-O4).
-
-    The zero-cost claim, held to bytes: a telemetry bundle with the
-    span tracker and monitor DISABLED must produce the identical
-    decision stream and the identical ``trace.jsonl`` byte stream as a
-    bundle with them ENABLED -- spans ride a separate stream and the
-    hooks never influence simulation behaviour -- and, a fortiori, as
-    the pre-observability code path.
-    """
-    from repro.experiments.validation import run_validation
-    from repro.obs import trace_jsonl_lines
-
-    def run(spans: bool):
-        telemetry = Telemetry(TelemetryConfig(
-            spans=spans, monitor=spans, probe_cadence_ns=None,
-        ))
-        report = run_validation(
-            n_masters=3, n_slaves=6, n_requests=16, hyperperiods=1,
-            seed=55, use_wire_handshake=True, telemetry=telemetry,
-        )
-        trace = "\n".join(trace_jsonl_lines(telemetry.recorder))
-        return report, trace, telemetry
-
-    report_off, trace_off, tel_off = run(False)
-    report_on, trace_on, tel_on = run(True)
-
-    assert tel_off.spans is None and tel_on.spans is not None
-    assert trace_on == trace_off, (
-        "enabling spans+monitor changed the trace byte stream"
-    )
-    assert report_on.summary() == report_off.summary()
-    assert len(tel_on.spans) > 0  # the enabled side did record spans

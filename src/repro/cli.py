@@ -22,8 +22,6 @@ Commands
                  ``--signal-loss``)
 ``oracle``       differential fuzz campaign: analytical admission vs
                  brute-force EDF timeline replay
-``bench-admission`` admission fast-path timing, cached vs from-scratch
-                 (EXP-P2); ``--smoke`` for the quick CI variant
 ``admission-diff`` differential campaign: cached vs from-scratch
                  admission decisions under interleaved releases;
                  ``--churn`` interleaves snapshot/resume ops and
@@ -41,8 +39,10 @@ Commands
 ``spans``        causal span capture: attribute each request's latency
                  to queue/wire/processing/backoff, with an online
                  invariant monitor and flight recorder riding along
-``bench-report`` summarize the benchmark suite's ``BENCH_*.json``
-                 artifacts, optionally against a baseline directory
+
+Timing is not a command: ``perfbench/run.py`` times the end-to-end
+workloads layer by layer, and ``python -m pytest -o addopts=
+benchmarks`` runs the micro-benchmarks.
 
 ``fig18-5``, ``validate`` and ``robustness --signal-loss`` accept
 ``--telemetry-out DIR`` to emit a telemetry bundle (metrics snapshot,
@@ -58,10 +58,9 @@ per CPU); every output -- tables, CSV/JSON exports, telemetry bundles
 
 Exit status: 0 on success, 1 when a checked guarantee is violated
 (``validate``, ``coexist``, ``robustness``, ``oracle``,
-``bench-admission`` parity, ``admission-diff``, ``netcalc-diff``,
-``service-soak``, ``fabric-sweep --cross-check``,
-``obs check``, the ``spans`` coverage gate, ``bench-report`` schema
-conformance), 2 on usage errors.
+``admission-diff``, ``netcalc-diff``, ``service-soak``,
+``fabric-sweep --cross-check``, ``obs check``, the ``spans`` coverage
+gate), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -277,44 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--json", metavar="PATH",
                         help="export the campaign report as JSON")
 
-    bench = sub.add_parser(
-        "bench-admission",
-        help="time the Fig. 18.5 admission sweep cached vs from-scratch "
-             "(EXP-P2)",
-    )
-    bench.add_argument("--requests", type=int, default=200,
-                       help="channel requests per trial (default 200)")
-    bench.add_argument("--trials", type=int, default=5,
-                       help="request sequences per timing run (default 5)")
-    bench.add_argument("--seed", type=int, default=2004)
-    bench.add_argument(
-        "--scheme", choices=["sdps", "adps"], default="sdps",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repetitions per side; the minimum is reported "
-             "(default 3)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="quick CI variant: reduced workload, asserts decision "
-             "parity but no speedup floor (shared-runner timing is "
-             "too noisy for ratios)",
-    )
-    bench.add_argument("--json", metavar="PATH",
-                       help="export the timing report as JSON")
-    bench.add_argument(
-        "--metrics", action="store_true",
-        help="add an untimed instrumented pass and report the registry "
-             "snapshot (verdict counters + cache hit/miss metrics)",
-    )
-    bench.add_argument(
-        "--batch", action="store_true",
-        help="EXP-P7 variant: time the batched admit_many engine "
-             "(cold burst + saturated storm) against the cached "
-             "scalar path instead of cached-vs-naive",
-    )
-
     ncdiff = sub.add_parser(
         "netcalc-diff",
         help="second-oracle fuzz campaign: measured per-frame delays "
@@ -401,19 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) when any resolved request attributes less "
              "than this fraction of its latency to named phases "
              "(default 0.99)",
-    )
-
-    breport = sub.add_parser(
-        "bench-report",
-        help="summarize BENCH_*.json artifacts emitted by the benchmark "
-             "suite; optionally compare wall times against a baseline "
-             "directory",
-    )
-    breport.add_argument("dir", metavar="DIR",
-                         help="directory holding BENCH_*.json files")
-    breport.add_argument(
-        "--baseline", metavar="DIR", default=None,
-        help="earlier BENCH_*.json directory to diff against",
     )
 
     adiff = sub.add_parser(
@@ -871,48 +819,6 @@ def _cmd_oracle(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench_admission(args) -> int:
-    from .experiments.admission_perf import (
-        AdmissionPerfConfig,
-        run_admission_perf,
-        run_batch_perf,
-    )
-
-    if args.smoke:
-        config = AdmissionPerfConfig(
-            requests=min(args.requests, 60),
-            trials=min(args.trials, 2),
-            seed=args.seed,
-            scheme=args.scheme,
-            repeats=1,
-            collect_metrics=args.metrics,
-        )
-    else:
-        config = AdmissionPerfConfig(
-            requests=args.requests,
-            trials=args.trials,
-            seed=args.seed,
-            scheme=args.scheme,
-            repeats=args.repeats,
-            collect_metrics=args.metrics,
-        )
-    if args.batch:
-        result = run_batch_perf(config)
-        ok = result.batch_parity and result.storm_parity
-    else:
-        result = run_admission_perf(config)
-        ok = result.parity
-    print(result.summary())
-    if args.json:
-        import json
-
-        path = write_text(
-            args.json, json.dumps(result.to_json_dict(), indent=2)
-        )
-        print(f"wrote {path}")
-    return 0 if ok else 1
-
-
 def _cmd_admission_diff(args) -> int:
     from .oracle.admission_diff import run_admission_campaign
 
@@ -1184,55 +1090,6 @@ def _cmd_spans(args) -> int:
     return 0
 
 
-def _cmd_bench_report(args) -> int:
-    import json
-    from pathlib import Path
-
-    from .obs import BENCH_SCHEMA, validate
-
-    directory = Path(args.dir)
-    paths = sorted(directory.glob("BENCH_*.json"))
-    if not paths:
-        print(f"repro bench-report: no BENCH_*.json in {directory}",
-              file=sys.stderr)
-        return 2
-    baseline: dict[str, dict] = {}
-    if args.baseline:
-        for path in sorted(Path(args.baseline).glob("BENCH_*.json")):
-            record = json.loads(path.read_text())
-            baseline[record.get("name", path.stem)] = record
-    errors = 0
-    rows = []
-    for path in paths:
-        record = json.loads(path.read_text())
-        for error in validate(record, BENCH_SCHEMA, str(path.name)):
-            print(f"SCHEMA ERROR: {error}")
-            errors += 1
-        name = record.get("name", path.stem)
-        wall = record.get("wall_s", 0.0)
-        row = [
-            name,
-            len(record.get("tests", [])),
-            f"{wall:.3f}",
-            ("-" if record.get("throughput") is None
-             else f"{record['throughput']:.0f}"),
-            ("-" if record.get("overhead_pct") is None
-             else f"{record['overhead_pct']:.1f}%"),
-        ]
-        if baseline:
-            base = baseline.get(name)
-            if base is None or not base.get("wall_s"):
-                row.append("-")
-            else:
-                row.append(f"{wall / base['wall_s']:.2f}x")
-        rows.append(row)
-    headers = ["bench", "tests", "wall s", "throughput", "overhead"]
-    if baseline:
-        headers.append("vs baseline")
-    print(format_table(headers, rows, title="benchmark artifacts"))
-    return 1 if errors else 0
-
-
 _COMMANDS = {
     "fig18-5": _cmd_fig18_5,
     "validate": _cmd_validate,
@@ -1245,14 +1102,12 @@ _COMMANDS = {
     "fabric-sweep": _cmd_fabric_sweep,
     "robustness": _cmd_robustness,
     "oracle": _cmd_oracle,
-    "bench-admission": _cmd_bench_admission,
     "admission-diff": _cmd_admission_diff,
     "service-soak": _cmd_service_soak,
     "netcalc-diff": _cmd_netcalc_diff,
     "netcalc-bounds": _cmd_netcalc_bounds,
     "obs": _cmd_obs,
     "spans": _cmd_spans,
-    "bench-report": _cmd_bench_report,
 }
 
 

@@ -7,9 +7,9 @@ This experiment quantifies both against the naive scan that checks
 every integer instant, on task sets of growing size:
 
 * points checked (exact work measure, deterministic);
-* wall-clock per test (via ``time.perf_counter``; the pytest-benchmark
-  harness re-measures the same functions properly in
-  ``benchmarks/bench_perf.py``).
+* wall-clock per test (one ``time.perf_counter`` reading, indicative
+  only; perfbench's ``feasibility`` layer times the fast test inside
+  its end-to-end workloads).
 
 Task sets are generated per link as in the Figure 18.5 regime (identical
 parameters) and in a heterogeneous regime (uniform sampler) where the

@@ -25,7 +25,6 @@ from .profiling import KernelProfiler
 from .registry import DEFAULT_LATENCY_BUCKETS_NS, MetricsRegistry
 from .schema import (
     ANOMALY_SCHEMA,
-    BENCH_SCHEMA,
     CHROME_TRACE_SCHEMA,
     FLIGHT_SCHEMA,
     METRICS_SCHEMA,
@@ -77,5 +76,4 @@ __all__ = [
     "SPAN_SCHEMA",
     "ANOMALY_SCHEMA",
     "FLIGHT_SCHEMA",
-    "BENCH_SCHEMA",
 ]

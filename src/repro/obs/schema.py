@@ -19,9 +19,7 @@ The schemas here are the written contract for the bundle files:
 * :data:`SPAN_SCHEMA` -- one line of ``spans.jsonl`` (causal spans),
 * :data:`ANOMALY_SCHEMA` -- one line of ``anomalies.jsonl`` (invariant
   monitor output),
-* :data:`FLIGHT_SCHEMA` -- a flight-recorder ``flight.json`` dump,
-* :data:`BENCH_SCHEMA` -- a standardized ``BENCH_<name>.json`` record
-  emitted by the benchmark suite.
+* :data:`FLIGHT_SCHEMA` -- a flight-recorder ``flight.json`` dump.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ __all__ = [
     "SPAN_SCHEMA",
     "ANOMALY_SCHEMA",
     "FLIGHT_SCHEMA",
-    "BENCH_SCHEMA",
 ]
 
 _TYPES = {
@@ -251,36 +248,6 @@ FLIGHT_SCHEMA = {
         "events": {"type": "array", "items": SPAN_SCHEMA},
         "anomalies": {"type": "array", "items": ANOMALY_SCHEMA},
         "metrics": {"type": "object"},
-    },
-}
-
-#: A standardized benchmark record (``BENCH_<name>.json``), one per
-#: ``benchmarks/bench_*.py`` module per run, written by the benchmarks'
-#: conftest plugin (wall time always; throughput / overhead when the
-#: bench reports them via the ``bench_record`` fixture).
-BENCH_SCHEMA = {
-    "type": "object",
-    "required": ["name", "wall_s", "tests"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "wall_s": {"type": "number", "minimum": 0},
-        "throughput": {"type": "number", "minimum": 0},
-        "overhead_pct": {"type": "number"},
-        "tests": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["test", "wall_s", "outcome"],
-                "additionalProperties": False,
-                "properties": {
-                    "test": {"type": "string"},
-                    "wall_s": {"type": "number", "minimum": 0},
-                    "outcome": {"type": "string"},
-                },
-            },
-        },
-        "extra": {"type": "object"},
     },
 }
 

@@ -36,6 +36,9 @@ class TestMaxAdditionalTasks:
     def test_existing_load_reduces_headroom(self):
         existing = make_tasks([(100, 3, 20)] * 4, node="m")
         assert max_additional_tasks(existing, candidate(deadline=20)) == 2
+        assert max_additional_tasks(
+            existing[:3], candidate(deadline=20)
+        ) == 3
 
     def test_utilization_limited_regime(self):
         # d = P = 100: Liu & Layland, U <= 1 -> floor(100/3) = 33.

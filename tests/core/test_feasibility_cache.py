@@ -12,11 +12,12 @@ individually so a regression names the mechanism that broke.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from repro.core.admission import SystemState
+from repro.core.admission import AdmissionController, SystemState
 from repro.core.channel import (
     ChannelSpec,
     ChannelState,
@@ -29,8 +30,13 @@ from repro.core.feasibility_cache import (
     LinkCacheEntry,
     MAX_CACHED_POINTS,
 )
+from repro.core.partitioning import AsymmetricDPS
 from repro.core.task import LinkRef, LinkTask
 from repro.errors import UnknownChannelError
+from repro.experiments.base import trial_requests
+from repro.obs import Telemetry, TelemetryConfig
+from repro.traffic.patterns import master_slave_names, master_slave_requests
+from repro.traffic.spec import FixedSpecSampler
 
 LINK = LinkRef.uplink("cache-node")
 
@@ -333,3 +339,67 @@ class TestMultiLinkIndependence:
     def test_spec_to_channel_spec_alignment(self):
         spec = ChannelSpec(period=100, capacity=3, deadline=40)
         assert spec.is_partitionable()
+
+
+class TestFig185SweepCounters:
+    """The cache's own counters on the Fig. 18.5 sweep (ADPS, 200
+    requests x 5 trials, seed 2004): the advertised fast paths carry
+    every check, and the metrics registry reports exactly what the
+    caches counted."""
+
+    @staticmethod
+    def sweep(telemetry=None):
+        """Decide every trial on a fresh controller; return the decision
+        stream and the cache counters summed over the trials."""
+        masters, slaves = master_slave_names(10, 50)
+        sampler = FixedSpecSampler.paper_default()
+
+        def factory(count, rng):
+            return master_slave_requests(masters, slaves, count, sampler, rng)
+
+        registry = None if telemetry is None else telemetry.registry
+        decisions: list[bool] = []
+        stats: Counter = Counter()
+        for trial in range(5):
+            controller = AdmissionController(
+                SystemState(nodes=masters + slaves), AsymmetricDPS(),
+                metrics=registry,
+            )
+            if telemetry is not None:
+                telemetry.track_cache(controller.cache)
+            for r in trial_requests(factory, 2004, trial, 200):
+                decisions.append(
+                    controller.request(r.source, r.destination, r.spec).accepted
+                )
+            stats.update(controller.cache.stats.as_dict())
+        return decisions, stats
+
+    def test_cache_does_incremental_work(self):
+        decisions, stats = self.sweep()
+        assert stats["full_fallbacks"] == 0
+        fast = (
+            stats["memo_hits"]
+            + stats["incremental_checks"]
+            + stats["shortcut_accepts"]
+        )
+        assert fast == stats["checks"]
+        assert stats["memo_hits"] > 0
+        assert stats["installs"] == 2 * sum(decisions)
+
+    def test_registry_metrics_agree(self):
+        telemetry = Telemetry(TelemetryConfig(tracing=False))
+        decisions, stats = self.sweep(telemetry)
+        values = {
+            (name, tuple(series["labels"].values())): series.get("value")
+            for name, family in telemetry.snapshot().items()
+            for series in family["series"]
+        }
+        for stat in ("checks", "memo_hits", "incremental_checks",
+                     "shortcut_accepts", "full_fallbacks", "installs"):
+            assert values[(f"feasibility_cache.{stat}", ())] == stats[stat], (
+                f"registry disagrees with cache counter {stat!r}"
+            )
+        accepts = values.get(("admission.decisions", ("accept",)), 0)
+        rejects = values.get(("admission.decisions", ("reject",)), 0)
+        assert accepts == sum(decisions)
+        assert accepts + rejects == len(decisions)

@@ -61,6 +61,17 @@ class TestRunFabricSweep:
         last = result.points[-1]
         assert last.proportional_mean >= last.symmetric_mean
 
+    @pytest.mark.slow
+    def test_default_fat_tree_at_full_scale(self):
+        """fat-tree:4 at its default 104 hosts, 400 requests, 8 trials."""
+        result = run_fabric_sweep(FabricSweepConfig(
+            topology="fat-tree:4", requests=400, checkpoints=10, trials=8,
+        ))
+        assert result.n_nodes >= 100
+        assert result.max_hops == 6
+        final = result.points[-1]
+        assert final.proportional_mean >= final.symmetric_mean
+
     def test_workers_byte_identical(self):
         serial = run_fabric_sweep(FabricSweepConfig(**SMOKE, workers=1))
         pooled = run_fabric_sweep(FabricSweepConfig(**SMOKE, workers=2))

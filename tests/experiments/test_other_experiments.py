@@ -1,10 +1,12 @@
 """Tests for the ablation, validation, coexistence, perf and multiswitch
-experiments (small configurations -- the benchmarks run the full ones)."""
+experiments (small configurations -- ``test_experiment_shapes.py`` runs
+the full ones)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.feasibility import is_feasible, is_feasible_naive
 from repro.core.partitioning import SymmetricDPS
 from repro.experiments.ablations import (
     capacity_sweep,
@@ -21,7 +23,7 @@ from repro.experiments.multiswitch_exp import (
 from repro.experiments.perf import feasibility_cost_sweep, make_link_tasks
 from repro.experiments.validation import run_validation
 from repro.sim.rng import RngRegistry
-from repro.traffic.spec import FixedSpecSampler
+from repro.traffic.spec import FixedSpecSampler, UniformSpecSampler
 
 
 class TestDeadlineSweep:
@@ -128,9 +130,25 @@ class TestCoexistenceExperiment:
 
 class TestPerfExperiment:
     def test_fast_never_checks_more_points(self):
-        for point in feasibility_cost_sweep(sizes=(4, 8, 12)):
+        for point in feasibility_cost_sweep(sizes=(4, 8, 12, 16, 20)):
             if point.naive_points_checked:
                 assert point.fast_points_checked <= point.naive_points_checked
+
+    def test_fast_checks_fewer_points_on_long_hyperperiods(self):
+        """Same verdict; on long-hyperperiod sets the control-point test
+        does strictly less work than the every-integer scan."""
+        sampler = UniformSpecSampler(
+            period_range=(40, 400), capacity_range=(1, 6),
+            deadline_range=(10, 200),
+        )
+        tasks = make_link_tasks(
+            20, sampler, RngRegistry(99).stream("bench-perf")
+        )
+        fast = is_feasible(tasks)
+        naive = is_feasible_naive(tasks)
+        assert fast.feasible == naive.feasible
+        if naive.points_checked > 50:
+            assert fast.points_checked < naive.points_checked
 
     def test_homogeneous_regime(self):
         points = feasibility_cost_sweep(sizes=(4, 6), heterogeneous=False)

@@ -34,6 +34,12 @@ class TestRunServiceSoak:
         assert soak_result.service_ledger_identical
         assert soak_result.service_state_identical
 
+    def test_longer_soak_with_later_kill_passes(self):
+        result = run_service_soak(
+            80_000_000, 7, loss=0.2, kill_at_ns=35_000_000
+        )
+        assert result.ok, result.summary()
+
     def test_fabric_saw_loss(self, soak_result):
         assert soak_result.fabric_counters["retransmissions"] > 0
 

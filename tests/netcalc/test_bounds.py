@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core.admission import AdmissionController, SystemState
+from repro.core.channel import ChannelSpec
+from repro.core.partitioning import AsymmetricDPS
+from repro.core.task import LinkRef
 from repro.errors import ConfigurationError
 from repro.netcalc import (
     PathBound,
@@ -46,6 +50,8 @@ class TestLinkResidual:
         tasks = make_tasks([(10, 5, 10), (10, 5, 10)])
         assert link_delay_bound(tasks, 0) is not None
         assert link_delay_bound(tasks, 1) is not None
+        # a saturated Fig. 18.5 downlink: 13 channels, U = 0.39
+        assert link_delay_bound(make_tasks([(100, 3, 40)] * 13), 6) is not None
 
     def test_lone_task_bound_is_blocking_plus_capacity(self):
         assert link_delay_bound(make_tasks([(100, 3, 40)]), 0) == 4
@@ -96,6 +102,27 @@ class TestNetworkBounds:
         )
         naive_cross_bound = link_delay_bound(shared, 0)
         assert bounds[0].bound_slots > naive_cross_bound
+
+    def test_every_channel_of_a_saturated_adps_star_is_bounded(self):
+        masters = [f"m{i}" for i in range(4)]
+        slaves = [f"s{i}" for i in range(12)]
+        state = SystemState(nodes=masters + slaves)
+        controller = AdmissionController(state=state, dps=AsymmetricDPS())
+        spec = ChannelSpec(period=100, capacity=3, deadline=40)
+        for index in range(120):
+            controller.request(
+                masters[index % len(masters)], slaves[index % len(slaves)],
+                spec,
+            )
+        flows = {
+            cid: (LinkRef.uplink(ch.source), LinkRef.downlink(ch.destination))
+            for cid, ch in state.channels.items()
+        }
+        link_tasks = {
+            link: state.tasks_on(link)
+            for path in flows.values() for link in path
+        }
+        assert len(network_delay_bounds(flows, link_tasks)) == len(flows)
 
     def test_unknown_channel_on_link_rejected(self):
         tasks = make_tasks([(10, 1, 10), (10, 1, 10)])

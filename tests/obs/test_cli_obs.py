@@ -1,8 +1,6 @@
-"""CLI surface of the observability stack: spans / obs report / bench-report."""
+"""CLI surface of the observability stack: spans / obs report."""
 
 from __future__ import annotations
-
-import json
 
 from repro.cli import main
 
@@ -63,52 +61,3 @@ class TestObsReport:
         status = main(["obs", "report", str(tmp_path)])
         assert status == 2
         assert "no spans.jsonl" in capsys.readouterr().err
-
-
-class TestBenchReport:
-    @staticmethod
-    def _write(directory, name, wall_s, **extra):
-        directory.mkdir(parents=True, exist_ok=True)
-        record = {
-            "name": name,
-            "wall_s": wall_s,
-            "tests": [
-                {"test": "test_x", "wall_s": wall_s, "outcome": "passed"},
-            ],
-            **extra,
-        }
-        (directory / f"BENCH_{name}.json").write_text(
-            json.dumps(record) + "\n"
-        )
-
-    def test_renders_table(self, capsys, tmp_path):
-        self._write(tmp_path, "bench_one", 1.5, throughput=2000.0)
-        self._write(tmp_path, "bench_two", 0.5, overhead_pct=3.2)
-        status = main(["bench-report", str(tmp_path)])
-        assert status == 0
-        text = capsys.readouterr().out
-        assert "bench_one" in text and "bench_two" in text
-        assert "2000" in text and "3.2%" in text
-
-    def test_baseline_ratio_column(self, capsys, tmp_path):
-        current, base = tmp_path / "now", tmp_path / "before"
-        self._write(current, "bench_one", 2.0)
-        self._write(base, "bench_one", 1.0)
-        status = main([
-            "bench-report", str(current), "--baseline", str(base),
-        ])
-        assert status == 0
-        text = capsys.readouterr().out
-        assert "vs baseline" in text
-        assert "2.00x" in text
-
-    def test_empty_dir_exits_2(self, capsys, tmp_path):
-        assert main(["bench-report", str(tmp_path)]) == 2
-        assert "no BENCH_" in capsys.readouterr().err
-
-    def test_schema_violation_exits_1(self, capsys, tmp_path):
-        (tmp_path / "BENCH_broken.json").write_text(
-            json.dumps({"name": "broken"})
-        )
-        assert main(["bench-report", str(tmp_path)]) == 1
-        assert "SCHEMA ERROR" in capsys.readouterr().out

@@ -18,6 +18,7 @@ from repro.obs import (
     span_from_dict,
     span_jsonl_lines,
     summarize_requests,
+    trace_jsonl_lines,
     validate,
 )
 
@@ -243,6 +244,34 @@ def test_spans_record_lease_and_teardown():
 def test_spans_disabled_attribute_is_none():
     telemetry = Telemetry(TelemetryConfig(spans=False))
     assert telemetry.spans is None
+
+
+def test_spans_disabled_byte_identical():
+    """EXP-O4's zero-cost claim, held to bytes: spans ride a separate
+    stream and the span/monitor hooks never influence the simulation, so
+    a run with them disabled yields the decision stream and the
+    ``trace.jsonl`` byte stream of a run with them enabled."""
+
+    def run(spans: bool):
+        telemetry = Telemetry(TelemetryConfig(
+            spans=spans, monitor=spans, probe_cadence_ns=None,
+        ))
+        report = run_validation(
+            n_masters=3, n_slaves=6, n_requests=16, hyperperiods=1,
+            seed=55, use_wire_handshake=True, telemetry=telemetry,
+        )
+        trace = "\n".join(trace_jsonl_lines(telemetry.recorder))
+        return report, trace, telemetry
+
+    report_off, trace_off, tel_off = run(False)
+    report_on, trace_on, tel_on = run(True)
+
+    assert tel_off.spans is None and tel_on.spans is not None
+    assert trace_on == trace_off, (
+        "enabling spans+monitor changed the trace byte stream"
+    )
+    assert report_on.summary() == report_off.summary()
+    assert len(tel_on.spans) > 0  # the enabled side did record spans
 
 
 def test_measure_compute_stamps_wall_time():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.feasibility import busy_period, hyperperiod
+from repro.core.feasibility import busy_period, hyperperiod, is_feasible
 from repro.errors import ConfigurationError
 from repro.oracle.edf_timeline import (
     default_release_horizon,
@@ -118,6 +118,10 @@ class TestHorizons:
         assert result.first_miss is None
         assert result.makespan == busy_period(tasks)
         assert result.slots_executed == result.makespan
+        # a saturated Fig. 18.5 downlink: 13 channels, C=3 P=100 d=40
+        paper = make_tasks([(100, 3, 40)] * 13)
+        assert simulate_edf(paper).first_miss is None
+        assert is_feasible(paper).feasible
 
     def test_overutilized_needs_explicit_horizon(self):
         tasks = make_tasks([(2, 1, 2), (2, 1, 2), (2, 1, 2)])
@@ -149,6 +153,12 @@ class TestAccounting:
         assert result.jobs_completed == 5
         assert len(result.jobs) == 5
         assert result.schedulable
+        paper = simulate_edf(
+            make_tasks([(100, 3, 40)] * 12), 100, stop_on_miss=False,
+            record_jobs=True,
+        )
+        assert paper.jobs_released == 12
+        assert paper.schedulable
 
     def test_job_records_are_consistent(self):
         tasks = make_tasks([(6, 2, 5), (9, 3, 9)])
