@@ -2,8 +2,8 @@
 
 Not tied to a paper artifact; these report the EDF/FCFS queues' and
 the frame codecs' rates in reference operations/s (best of five runs,
-``timing.timed``) and check each run's result, so a regression shows
-up next to a number that is comparable across hosts.
+``timing.timed``), check each run's result, and fail below a floor, so
+a regression shows up next to a number that is comparable across hosts.
 """
 
 from __future__ import annotations
@@ -16,12 +16,27 @@ from timing import timed
 
 _OPS = 1_000
 
+#: Floors in reference ops/s: 0.2x the median rate of 10 runs (best of
+#: 5 each) on the 2-CPU reference host, the headroom of the kernel hold
+#: model's floor (bench_kernel._DISPATCH_FLOOR_EPS). Medians: EDF queue
+#: 798 k, FCFS queue 1 175 k, RequestFrame round trip 79.5 k, RT header
+#: encode 587 k.
+_EDF_QUEUE_FLOOR = 159_500.0
+_FCFS_QUEUE_FLOOR = 235_000.0
+_REQUEST_FRAME_FLOOR = 15_900.0
+_RT_HEADER_FLOOR = 117_500.0
 
-def _measure(capsys, name: str, ops: int, run):
-    """Best of five timed runs; prints the rate, returns run's value."""
+
+def _measure(capsys, name: str, ops: int, run, floor: float):
+    """Best of five timed runs; prints the rate, asserts it is at least
+    ``floor`` and returns run's value."""
     seconds, value = min((timed(run) for _ in range(5)), key=lambda t: t[0])
+    rate = ops / seconds
     with capsys.disabled():
-        print(f"\n{name}: {ops / seconds:,.0f} reference ops/s")
+        print(f"\n{name}: {rate:,.0f} reference ops/s")
+    assert rate >= floor, (
+        f"{name} regressed: {rate:,.0f} reference ops/s < {floor:,.0f}"
+    )
     return value
 
 
@@ -42,7 +57,9 @@ def test_bench_edf_queue_push_pop(capsys):
             total += queue.pop().absolute_deadline
         return total
 
-    total = _measure(capsys, "EDF queue push+pop", 2 * _OPS, run)
+    total = _measure(
+        capsys, "EDF queue push+pop", 2 * _OPS, run, _EDF_QUEUE_FLOOR
+    )
     assert total == sum(deadlines)
 
 
@@ -59,7 +76,10 @@ def test_bench_fcfs_queue(capsys):
             count += 1
         return count
 
-    assert _measure(capsys, "FCFS queue push+pop", 2 * _OPS, run) == _OPS
+    count = _measure(
+        capsys, "FCFS queue push+pop", 2 * _OPS, run, _FCFS_QUEUE_FLOOR
+    )
+    assert count == _OPS
 
 
 def test_bench_request_frame_roundtrip(capsys):
@@ -78,7 +98,9 @@ def test_bench_request_frame_roundtrip(capsys):
     def run():
         return [decode_signaling(frame.encode()) for _ in range(_OPS)]
 
-    decoded = _measure(capsys, "RequestFrame encode+decode", _OPS, run)
+    decoded = _measure(
+        capsys, "RequestFrame encode+decode", _OPS, run, _REQUEST_FRAME_FLOOR
+    )
     assert all(d == frame for d in decoded)
 
 
@@ -86,5 +108,7 @@ def test_bench_rt_header_encode(capsys):
     def run():
         return [encode_rt_header(123_456_789_000, 42) for _ in range(_OPS)]
 
-    headers = _measure(capsys, "RT header encode", _OPS, run)
+    headers = _measure(
+        capsys, "RT header encode", _OPS, run, _RT_HEADER_FLOOR
+    )
     assert all(h.channel_id == 42 for h in headers)

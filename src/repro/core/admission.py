@@ -13,22 +13,33 @@ channels, keeps the per-link task sets in its one
 :class:`~repro.core.feasibility_cache.FeasibilityCache` (``state.links``),
 and implements the
 :class:`~repro.core.partitioning.LoadView` protocol that partitioning
-schemes consult. :class:`AdmissionController` is the decision half: it
-runs the paper's two-step test (utilization, then processor demand) on
-both links a candidate would traverse and either installs the channel or
-reports a typed rejection.
+schemes consult. :class:`AdmissionEngine` is the decision half shared by
+the star and the switch fabric: a candidate is admitted when every link
+of its path stays feasible with the candidate's supposed task added.
+:class:`AdmissionController` is its star front end, where the path is
+the source's uplink and the destination's downlink; it runs the paper's
+two-step test (utilization, then processor demand) on both and either
+installs the channel or reports a typed rejection.
 
-Only the uplink of the source and the downlink of the destination are
-affected by a candidate, so only those two links are re-tested -- all
-other links keep their verdicts (feasibility of a link depends only on
-the tasks assigned to it).
+Only the links of the candidate's path are affected by it, so only
+those are re-tested -- all other links keep their verdicts (feasibility
+of a link depends only on the tasks assigned to it).
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..netcalc.bounds import PathBound
@@ -50,7 +61,9 @@ __all__ = [
     "SystemState",
     "RejectionReason",
     "AdmissionDecision",
+    "AdmissionEngine",
     "AdmissionController",
+    "path_delay_bounds",
 ]
 
 
@@ -213,28 +226,43 @@ class SystemState:
         """Network-calculus end-to-end bound per active channel.
 
         Independent of the EDF demand analysis that admitted the
-        channels: every channel becomes a token bucket, every occupied
-        link a rate-latency server, and the bound is the horizontal
-        deviation against the uplink (x) downlink residual convolution
-        with cross-traffic burstiness propagated through the switch
-        (see :mod:`repro.netcalc.bounds`). Values are
-        :class:`~repro.netcalc.bounds.PathBound` (slots, exact
-        fractions); every admitted channel gets a finite bound because
-        admitted links have ``U <= 1``.
+        channels: see :func:`path_delay_bounds`, here over each
+        channel's uplink and downlink.
         """
-        from ..netcalc.bounds import network_delay_bounds
-
-        flows = {
-            channel_id: (
-                LinkRef.uplink(channel.source),
-                LinkRef.downlink(channel.destination),
-            )
-            for channel_id, channel in self._channels.items()
-        }
-        links = {link for path in flows.values() for link in path}
-        return network_delay_bounds(
-            flows, {link: self.tasks_on(link) for link in links}
+        return path_delay_bounds(
+            {
+                channel_id: (
+                    LinkRef.uplink(channel.source),
+                    LinkRef.downlink(channel.destination),
+                )
+                for channel_id, channel in self._channels.items()
+            },
+            self.tasks_on,
         )
+
+
+def path_delay_bounds(
+    paths: Mapping[int, Sequence[Hashable]],
+    tasks_on: Callable[[Hashable], Sequence[LinkTask]],
+) -> dict[int, "PathBound"]:
+    """Network-calculus end-to-end bound per channel of a routed path.
+
+    ``paths`` maps each admitted channel to the ordered links it
+    crosses and ``tasks_on`` gives the tasks reserved on a link. Every
+    channel becomes a token bucket, every occupied link a rate-latency
+    server, and the bound is the horizontal deviation against the
+    convolution of the per-hop residuals, with cross-traffic burstiness
+    propagated through upstream hops (see :mod:`repro.netcalc.bounds`;
+    sound while the directed link graph is feed-forward, as on the star
+    and on tree and up-down fat-tree routes). Values are
+    :class:`~repro.netcalc.bounds.PathBound` (slots, exact fractions);
+    every admitted channel gets a finite bound because admitted links
+    have ``U <= 1``.
+    """
+    from ..netcalc.bounds import network_delay_bounds
+
+    links = {link for path in paths.values() for link in path}
+    return network_delay_bounds(paths, {link: tasks_on(link) for link in links})
 
 
 class RejectionReason(enum.Enum):
@@ -250,9 +278,11 @@ class RejectionReason(enum.Enum):
     #: probes). Distinct from :attr:`NOT_PARTITIONABLE`, which is a
     #: property of the spec alone.
     NO_FEASIBLE_PARTITION = "no-feasible-partition"
-    #: The uplink (source -> switch) failed the feasibility test.
+    #: The uplink (source -> switch) failed the feasibility test (on a
+    #: fabric path: the first link).
     UPLINK_INFEASIBLE = "uplink-infeasible"
-    #: The downlink (switch -> destination) failed the feasibility test.
+    #: The downlink (switch -> destination) failed the feasibility test
+    #: (on a fabric path: a link after the first).
     DOWNLINK_INFEASIBLE = "downlink-infeasible"
     #: The destination node declined the offered channel (signalling).
     DESTINATION_DECLINED = "destination-declined"
@@ -296,17 +326,20 @@ class AdmissionDecision(NamedTuple):
 class _Assessment(NamedTuple):
     """Pure (state-untouched) outcome of the decision procedure.
 
-    ``reason is None`` means "would be accepted". Shared by
-    :meth:`AdmissionController.request` (which then mutates) and
-    :meth:`AdmissionController.preview` (which never does). One is
-    built per non-memoized decision, so it is a NamedTuple rather than
-    a dataclass (measurably cheaper to construct).
+    ``reason is None`` means "would be accepted". ``links`` is the
+    candidate's path as the front end names it (the star's link refs,
+    the fabric's directed links) and ``refs`` the same path as keys of
+    the task store; ``reports`` is aligned with them, and shorter when
+    the test stopped at the first infeasible link. One is built per
+    non-memoized decision, so it is a NamedTuple rather than a
+    dataclass (measurably cheaper to construct).
     """
 
     reason: RejectionReason | None
-    partition: DeadlinePartition | None = None
-    uplink_report: FeasibilityReport | None = None
-    downlink_report: FeasibilityReport | None = None
+    partition: object = None
+    reports: tuple[FeasibilityReport, ...] = ()
+    links: tuple = ()
+    refs: tuple[LinkRef, ...] = ()
 
 
 #: Interned candidate tasks, keyed by ``(link, P, C, d)``. Admission
@@ -335,47 +368,37 @@ def _candidate_task(
     return task
 
 
-class AdmissionController:
-    """The switch's admit-or-reject logic over a :class:`SystemState`.
+class AdmissionEngine:
+    """The decision engine both admission controllers run on.
 
-    Parameters
-    ----------
-    state:
-        The system state to manage (shared with e.g. the simulator).
-    dps:
-        The deadline-partitioning scheme (SDPS, ADPS, ...). The scheme is
-        consulted once per request with loads that include the candidate.
-    use_cache:
-        When True (the default), per-link feasibility is decided through
-        the incremental ``check``/``batch_check`` of the state's task
-        store (:attr:`SystemState.links`) instead of re-running the
-        from-scratch test on every request. The cached and from-scratch
-        controllers produce identical decision streams (enforced by
-        :mod:`repro.oracle.admission_diff`); ``use_cache=False`` keeps
-        the reference path available for differential testing: it only
-        reads ``tasks_on`` and runs
-        :func:`~repro.core.feasibility.is_feasible`.
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`. When
-        given, verdicts are counted into ``admission.decisions``
-        (labelled by verdict) and ``admission.rejections`` (labelled by
-        reason); without one the per-request telemetry cost is a single
-        ``is not None`` check.
+    A candidate channel is admitted when every link of its path stays
+    EDF-feasible with the candidate's supposed task added (Section
+    18.3.2: each link direction is one uniprocessor); the star is the
+    case where the path has two links. The engine owns everything that
+    does not depend on the topology:
 
-    Notes
-    -----
-    Channel IDs are assigned from a monotone counter starting at 1 (the
-    wire value 0 means "not yet valid" in the RequestFrame) and never
-    reused within one controller's lifetime, mirroring the 16-bit
-    network-unique *RT channel ID* of the signalling frames. The
-    controller raises :class:`AdmissionError` once the 16-bit space is
-    exhausted, making the paper's field-width limit explicit instead of
-    silently aliasing IDs. Only :meth:`request` consumes IDs --
-    :meth:`preview` never advances the counter.
+    * the assessment memo: whole decisions keyed by ``(source,
+      destination, spec)`` and revalidated against the epochs of the
+      path's task-store entries (any install/release on a path link
+      bumps its epoch and the stale entry simply misses). Exact because
+      the path is a pure function of the endpoints and every scheme
+      reads only the links of that path (see
+      :class:`~repro.core.partitioning.DeadlinePartitioningScheme` and
+      :class:`~repro.multiswitch.partitioning.MultiHopDPS`);
+    * :meth:`_admit_many`: the pooled ``batch_check`` prefetch, the
+      burst-local rejection templates and the counters flushed once per
+      burst;
+    * the 16-bit wrap-around channel-ID allocator.
 
-    All mutations of the shared :class:`SystemState` go through this
-    controller or the state's own ``install``/``release``; both write
-    the one per-link store the cached checks read.
+    A front end (subclass) supplies the topology: ``_route`` (the path,
+    or a rejection that needs no path), ``_split`` (the per-link
+    deadlines), ``_candidate``, ``_accept`` and ``_reject`` (its
+    decision records and how an acceptance is installed).
+
+    Channel IDs are handed out from 1 (the wire value 0 means "not yet
+    valid" in the RequestFrame) in increasing order and wrap past the
+    16-bit *RT channel ID* field of the signalling frames, skipping live
+    IDs; only acceptances consume them.
     """
 
     MAX_CHANNEL_ID = 0xFFFF  # 16-bit field in Figures 18.3/18.4
@@ -384,31 +407,33 @@ class AdmissionController:
     #: is a cache of pure results, so clearing is always correct).
     _ASSESS_MEMO_MAX = 8192
 
+    #: Test every link of the path (the star's records carry both
+    #: reports) rather than stop at the first infeasible one.
+    _TEST_WHOLE_PATH = True
+
     def __init__(
         self,
-        state: SystemState,
-        dps: DeadlinePartitioningScheme,
+        store: FeasibilityCache,
+        live: Mapping[int, object],
         *,
-        use_cache: bool = True,
+        use_cache: bool,
+        probes: bool = False,
         metrics=None,
     ) -> None:
-        self._state = state
-        self._dps = dps
-        #: Whether the scheme actually overrides partition_with_probe;
-        #: for plain schemes (SDPS/ADPS/...) the per-request probe
-        #: closure and the delegating trampoline are skipped entirely.
-        self._dps_probes = (
-            type(dps).partition_with_probe
-            is not DeadlinePartitioningScheme.partition_with_probe
-        )
-        self._cache = state.links if use_cache else None
-        #: Whole-assessment memo, keyed by (source, destination, spec)
-        #: and validated by the two endpoint links' cache epochs (every
-        #: scheme reads only those two links, so the assessment is a
-        #: pure function of them; see DeadlinePartitioningScheme).
+        #: The per-link task store the front end installs into.
+        self._store = store
+        self._cache = store if use_cache else None
+        #: The live channels by ID (read by the ID allocator).
+        self._live = live
+        #: Whether the scheme searches through a feasibility probe; its
+        #: partition is then not known ahead of the probe loop, so the
+        #: burst prefetch is skipped.
+        self._dps_probes = probes
+        #: (source, destination, spec) -> (path entries, their epochs
+        #: when assessed, assessment).
         self._assess_memo: dict[
             tuple[str, str, ChannelSpec],
-            tuple[int, int, _Assessment],
+            tuple[list, list[int], _Assessment],
         ] = {}
         self._next_id = 1
         self.accept_count = 0
@@ -455,20 +480,6 @@ class AdmissionController:
             self._m_batch_hits = None
 
     @property
-    def state(self) -> SystemState:
-        return self._state
-
-    @property
-    def dps(self) -> DeadlinePartitioningScheme:
-        return self._dps
-
-    @property
-    def cache(self) -> FeasibilityCache | None:
-        """The state's task store when it decides admission, or ``None``
-        for a reference (from-scratch) controller."""
-        return self._cache
-
-    @property
     def uses_cache(self) -> bool:
         return self._cache is not None
 
@@ -483,157 +494,128 @@ class AdmissionController:
 
     # -- core decision -----------------------------------------------------
 
-    def _feasible_with(
+    def _test(
         self,
-        up_link: LinkRef,
-        down_link: LinkRef,
+        refs: Sequence[LinkRef],
         spec: ChannelSpec,
-        partition: DeadlinePartition,
-    ) -> tuple[FeasibilityReport, FeasibilityReport]:
-        """Test both affected links with the candidate's tasks added."""
-        up_task = _candidate_task(
-            up_link, spec.period, spec.capacity, partition.uplink
-        )
-        down_task = _candidate_task(
-            down_link, spec.period, spec.capacity, partition.downlink
-        )
-        if self._cache is not None:
-            return self._cache.check(up_task), self._cache.check(down_task)
-        up_report = is_feasible(list(self._state.tasks_on(up_link)) + [up_task])
-        down_report = is_feasible(
-            list(self._state.tasks_on(down_link)) + [down_task]
-        )
-        return up_report, down_report
-
-    def _assess(
-        self, source: str, destination: str, spec: ChannelSpec
-    ) -> _Assessment:
-        """Run the full decision procedure without mutating anything.
-
-        Neither the system state, nor the counters, nor the ID stream
-        are touched; :meth:`request` applies the side effects afterward
-        and :meth:`preview` returns the assessment as-is.
-
-        With the cache active, whole assessments are memoized per
-        ``(source, destination, spec)`` and revalidated in O(1) against
-        the two endpoint links' cache epochs: any install/release on
-        either link bumps its epoch and the stale entry simply misses.
-        Sound because every scheme reads only those two links (see
-        :class:`~repro.core.partitioning.DeadlinePartitioningScheme`).
-        This makes the saturated tail of an acceptance sweep (the same
-        rejected spec re-requested hundreds of times against unchanged
-        links) a dictionary hit.
-        """
+        deadlines: Sequence[int],
+    ) -> tuple[FeasibilityReport, ...]:
+        """Test the path's links with the candidate's tasks added."""
         cache = self._cache
-        if cache is None:
-            return self._assess_uncached(source, destination, spec)
-        # Pre-checks inlined (has_node is a measurable method call here,
-        # and _decide below assumes they already ran).
-        nodes = self._state._nodes
-        if source not in nodes or destination not in nodes:
-            return _Assessment(reason=RejectionReason.UNKNOWN_NODE)
-        if not spec.is_partitionable():
-            return _Assessment(reason=RejectionReason.NOT_PARTITIONABLE)
-        up_link = LinkRef.uplink(source)
-        down_link = LinkRef.downlink(destination)
-        up_entry = cache.entry(up_link)
-        down_entry = cache.entry(down_link)
-        key = (source, destination, spec)
-        hit = self._assess_memo.get(key)
-        if (
-            hit is not None
-            and hit[0] == up_entry.epoch
-            and hit[1] == down_entry.epoch
-        ):
-            return hit[2]
-        assessment = self._decide(source, destination, spec, up_link, down_link)
-        if len(self._assess_memo) >= self._ASSESS_MEMO_MAX:
-            self._assess_memo.clear()
-        self._assess_memo[key] = (up_entry.epoch, down_entry.epoch, assessment)
-        return assessment
+        period = spec.period
+        capacity = spec.capacity
+        reports: list[FeasibilityReport] = []
+        for ref, deadline in zip(refs, deadlines):
+            task = _candidate_task(ref, period, capacity, deadline)
+            if cache is not None:
+                report = cache.check(task)
+            else:
+                report = is_feasible(list(self._store.tasks_on(ref)) + [task])
+            reports.append(report)
+            if not report.feasible and not self._TEST_WHOLE_PATH:
+                break
+        return tuple(reports)
 
-    def _assess_uncached(
-        self, source: str, destination: str, spec: ChannelSpec
+    def _conclude(
+        self,
+        partition: object,
+        reports: tuple[FeasibilityReport, ...],
+        links: tuple,
+        refs: tuple[LinkRef, ...],
     ) -> _Assessment:
-        """The decision procedure with pre-checks (no memo consulted)."""
-        nodes = self._state._nodes
-        if source not in nodes or destination not in nodes:
-            return _Assessment(reason=RejectionReason.UNKNOWN_NODE)
-        if not spec.is_partitionable():
-            return _Assessment(reason=RejectionReason.NOT_PARTITIONABLE)
-        return self._decide(
-            source,
-            destination,
-            spec,
-            LinkRef.uplink(source),
-            LinkRef.downlink(destination),
-        )
+        """The verdict of per-link reports (the first infeasible link
+        decides the reason)."""
+        for index, report in enumerate(reports):
+            if not report.feasible:
+                if not self._TEST_WHOLE_PATH:
+                    reports = reports[: index + 1]
+                reason = (
+                    RejectionReason.UPLINK_INFEASIBLE
+                    if index == 0
+                    else RejectionReason.DOWNLINK_INFEASIBLE
+                )
+                return _Assessment(reason, partition, reports, links, refs)
+        return _Assessment(None, partition, reports, links, refs)
 
     def _decide(
         self,
         source: str,
         destination: str,
         spec: ChannelSpec,
-        up_link: LinkRef,
-        down_link: LinkRef,
+        links: tuple,
+        refs: tuple[LinkRef, ...],
     ) -> _Assessment:
-        """Partition choice plus per-link tests.
-
-        Callers have already verified both nodes exist and the spec is
-        partitionable (Eq. 18.9 on the end-to-end deadline), and pass in
-        the two interned endpoint link refs they derived doing so.
-        """
-        loads = self._state.with_candidate(source, destination, spec)
-
+        """Partition choice plus per-link tests on a routed path."""
         try:
-            if self._dps_probes:
-
-                def probe(partition: DeadlinePartition) -> bool:
-                    up, down = self._feasible_with(
-                        up_link, down_link, spec, partition
-                    )
-                    return up.feasible and down.feasible
-
-                partition = self._dps.partition_with_probe(
-                    source, destination, spec, loads, probe
-                )
-            else:
-                partition = self._dps.partition(source, destination, spec, loads)
-            partition.validate_for(spec)
-        except PartitioningError:
-            # The spec itself is partitionable (checked above), so this
-            # is *not* Eq. 18.9 failing: the scheme searched and found no
-            # split under which both links stay feasible (or produced an
-            # invalid split). Miscounting it as NOT_PARTITIONABLE would
-            # blame the spec for a load problem.
-            return _Assessment(reason=RejectionReason.NO_FEASIBLE_PARTITION)
-
-        up_report, down_report = self._feasible_with(
-            up_link, down_link, spec, partition
-        )
-        if not up_report.feasible or not down_report.feasible:
-            reason = (
-                RejectionReason.UPLINK_INFEASIBLE
-                if not up_report.feasible
-                else RejectionReason.DOWNLINK_INFEASIBLE
+            partition, deadlines = self._split(
+                source, destination, spec, links, refs
             )
-            return _Assessment(reason, partition, up_report, down_report)
-        return _Assessment(None, partition, up_report, down_report)
+        except PartitioningError:
+            # The spec itself passed the front end's pre-checks, so this
+            # is *not* Eq. 18.9 failing on the end-to-end deadline: the
+            # scheme found no split under which the path stays feasible
+            # (or produced an invalid split). Miscounting it as
+            # NOT_PARTITIONABLE would blame the spec for a load problem.
+            return _Assessment(
+                RejectionReason.NO_FEASIBLE_PARTITION, None, (), links, refs
+            )
+        return self._conclude(
+            partition, self._test(refs, spec, deadlines), links, refs
+        )
+
+    def _assess(
+        self, source: str, destination: str, spec: ChannelSpec
+    ) -> tuple[list, list[int], _Assessment]:
+        """Run the full decision procedure without mutating anything.
+
+        Neither the task store, nor the counters, nor the ID stream are
+        touched; callers apply the side effects afterward. Returns the
+        assessment with the store entries of the path it was made on and
+        their epochs at the time (both empty when the decision needed no
+        path), which is also the memo's record. With the cache active, a
+        memo hit skips routing, partitioning and every link test: the
+        saturated tail of an acceptance sweep (the same rejected spec
+        re-requested hundreds of times against unchanged links) is a
+        dictionary hit.
+        """
+        cache = self._cache
+        if cache is not None:
+            key = (source, destination, spec)
+            hit = self._assess_memo.get(key)
+            if hit is not None and [e.epoch for e in hit[0]] == hit[1]:
+                return hit
+        route = self._route(source, destination, spec)
+        if isinstance(route, RejectionReason):
+            return [], [], _Assessment(route)
+        links, refs = route
+        if cache is None:
+            return [], [], self._decide(source, destination, spec, links, refs)
+        entries = [cache.entry(ref) for ref in refs]
+        assessed = (
+            entries,
+            [entry.epoch for entry in entries],
+            self._decide(source, destination, spec, links, refs),
+        )
+        if len(self._assess_memo) >= self._ASSESS_MEMO_MAX:
+            self._assess_memo.clear()
+        self._assess_memo[key] = assessed
+        return assessed
 
     def _allocate_id(self) -> int:
         """Consume the next free channel ID, wrapping past the 16-bit limit.
 
         IDs are handed out in increasing order from a moving hint, so a
         run that never creates more than ``MAX_CHANNEL_ID`` channels
-        sees the historical monotone sequence unchanged. Under churn
-        (long-lived service, channels departing) the allocator wraps
-        around and *skips live IDs* -- reusing a live ID would alias two
-        channels in ``{N, K}`` and in every verdict/dedup cache keyed on
-        it. Only when every ID in ``1..MAX_CHANNEL_ID`` is simultaneously
-        live is the space genuinely exhausted.
+        sees a monotone sequence. Under churn (long-lived service,
+        channels departing) the allocator wraps around and *skips live
+        IDs* -- reusing a live ID would alias two channels and every
+        verdict/dedup cache keyed on it. Only when every ID in
+        ``1..MAX_CHANNEL_ID`` is simultaneously live is the space
+        genuinely exhausted.
         """
         span = self.MAX_CHANNEL_ID  # IDs 1..MAX (0 = "not set" on the wire)
-        if len(self._state) >= span:
+        live = self._live
+        if len(live) >= span:
             raise AdmissionError(
                 "exhausted the 16-bit RT channel ID space "
                 f"(> {self.MAX_CHANNEL_ID} channels created)"
@@ -641,7 +623,7 @@ class AdmissionController:
         hint = self._next_id
         for offset in range(span):
             candidate = 1 + (hint - 1 + offset) % span
-            if not self._state.has_channel(candidate):
+            if candidate not in live:
                 self._next_id = 1 + candidate % span
                 return candidate
         raise AdmissionError(  # pragma: no cover - guarded by len() above
@@ -649,76 +631,71 @@ class AdmissionController:
             f"(> {self.MAX_CHANNEL_ID} channels created)"
         )
 
-    def request(
-        self, source: str, destination: str, spec: ChannelSpec
-    ) -> AdmissionDecision:
+    def _fresh(self, source: str, destination: str, spec: ChannelSpec):
+        """Decide one request and apply it, without counting it.
+
+        Returns the front end's decision record and what :meth:`_assess`
+        returned. The candidate record is built first, so a malformed
+        request (a channel from a node to itself) raises before anything
+        is assessed.
+        """
+        candidate = self._candidate(source, destination, spec)
+        assessed = self._assess(source, destination, spec)
+        assessment = assessed[2]
+        if assessment.reason is not None:
+            return self._reject(candidate, assessment), assessed
+        return (
+            self._accept(candidate, assessment, self._allocate_id()),
+            assessed,
+        )
+
+    def _request(self, source: str, destination: str, spec: ChannelSpec):
         """Decide a channel request; install the channel on acceptance.
 
-        Implements Section 18.2.2's switch-side behaviour minus the
-        signalling (for the full handshake, including the destination's
-        veto, see :mod:`repro.core.channel_manager`).
+        Returns the front end's decision record. The front ends expose
+        this (and :meth:`_admit_many`) under their own public names, so
+        a profiler wrapping one controller's entry points never counts
+        the other's decisions.
         """
-        candidate = RTChannel(source=source, destination=destination, spec=spec)
-        assessment = self._assess(source, destination, spec)
-        if assessment.reason is not None:
-            candidate.state = ChannelState.REJECTED
-            self._count_rejection(assessment.reason)
-            return AdmissionDecision(
-                False,
-                candidate,
-                assessment.reason,
-                assessment.partition,
-                assessment.uplink_report,
-                assessment.downlink_report,
-            )
-        candidate.channel_id = self._allocate_id()
-        # Direct assignment instead of assign_partition(): _decide already
-        # ran validate_for on this exact partition/spec pair, so the
-        # trusted construction in LinkTask.pair_for_channel stays sound.
-        candidate.partition = assessment.partition
-        candidate.state = ChannelState.ACTIVE
-        self._state.install(candidate)
-        self.accept_count += 1
-        if self._m_accepts is not None:
-            self._m_accepts.inc()
-        return AdmissionDecision(
-            True,
-            candidate,
-            None,
-            assessment.partition,
-            assessment.uplink_report,
-            assessment.downlink_report,
-        )
+        decision, assessed = self._fresh(source, destination, spec)
+        reason = assessed[2].reason
+        if reason is None:
+            self.accept_count += 1
+            if self._m_accepts is not None:
+                self._m_accepts.inc()
+        else:
+            self._count_rejection(reason)
+        return decision
 
     # -- batch engine ------------------------------------------------------
 
     def _batch_prefetch(
         self, requests: list[tuple[str, str, ChannelSpec]]
     ) -> None:
-        """Warm per-link verdict memos for every distinct burst candidate.
+        """Warm the memos for every distinct burst candidate.
 
-        Groups the burst's candidate tasks by endpoint link and runs one
-        pooled :meth:`~repro.core.feasibility_cache.FeasibilityCache.batch_check`
+        Routes and partitions each distinct request once against the
+        current (pre-burst) state, groups the candidate tasks by link
+        and runs one pooled
+        :meth:`~repro.core.feasibility_cache.FeasibilityCache.batch_check`
         per link, so the batched Eq. 18.3 demand evaluation covers the
-        whole burst in a handful of vectorized passes. Semantically
-        invisible: it only seeds the same memos a scalar check would
-        create, against the current (pre-burst) state, and every entry
-        is epoch-validated before reuse. Skipped for probing schemes
-        (their partition choice is not known ahead of the probe loop)
-        and without a cache.
+        whole burst in a handful of vectorized passes. It then seeds the
+        assessment memo with exactly the (epoch-stamped) assessment
+        :meth:`_decide` would produce, so the replay's first encounter
+        is a memo hit. Semantically invisible: entries whose links
+        change before their first use simply miss, like any stale memo
+        entry. Skipped for probing schemes.
         """
-        cache = self._cache
-        if cache is None or self._dps_probes:
+        if self._dps_probes:
             return
-        nodes = self._state._nodes
-        state = self._state
-        dps = self._dps
+        cache = self._cache
         memo = self._assess_memo
         by_link: dict[LinkRef, list[LinkTask]] = {}
-        #: key -> (up_link, down_link, partition, up index, down index)
+        #: key -> (partition, links, refs, index of each candidate task
+        #: in its link's batch)
         pending: dict[
             tuple[str, str, ChannelSpec],
-            tuple[LinkRef, LinkRef, DeadlinePartition, int, int],
+            tuple[object, tuple, tuple[LinkRef, ...], list[int]],
         ] = {}
         seen: set[tuple[str, str, ChannelSpec]] = set()
         for req in requests:
@@ -726,104 +703,71 @@ class AdmissionController:
             if key in seen:
                 continue
             seen.add(key)
+            prior = memo.get(key)
+            if prior is not None and [e.epoch for e in prior[0]] == prior[1]:
+                continue  # still assessed against current link state
             try:
                 source, destination, spec = key
-            except ValueError:
-                continue  # the replay raises identically, in order
-            if (
-                source not in nodes
-                or destination not in nodes
-                or source == destination
-                or not isinstance(spec, ChannelSpec)
-                or not spec.is_partitionable()
-            ):
-                continue
-            up_link = LinkRef.uplink(source)
-            down_link = LinkRef.downlink(destination)
-            prior = memo.get(key)
-            if (
-                prior is not None
-                and prior[0] == cache.entry(up_link).epoch
-                and prior[1] == cache.entry(down_link).epoch
-            ):
-                continue  # still assessed against current link state
-            loads = state.with_candidate(source, destination, spec)
-            try:
-                partition = dps.partition(source, destination, spec, loads)
-                partition.validate_for(spec)
-            except PartitioningError:
-                continue
-            ups = by_link.setdefault(up_link, [])
-            downs = by_link.setdefault(down_link, [])
-            pending[key] = (
-                up_link, down_link, partition, len(ups), len(downs)
-            )
-            ups.append(
-                _candidate_task(
-                    up_link, spec.period, spec.capacity, partition.uplink
+                route = self._route(source, destination, spec)
+                if isinstance(route, RejectionReason):
+                    continue
+                links, refs = route
+                partition, deadlines = self._split(
+                    source, destination, spec, links, refs
                 )
-            )
-            downs.append(
-                _candidate_task(
-                    down_link, spec.period, spec.capacity, partition.downlink
+            except Exception:
+                continue  # the replay rejects or raises identically, in order
+            slots: list[int] = []
+            for ref, deadline in zip(refs, deadlines):
+                batch = by_link.setdefault(ref, [])
+                slots.append(len(batch))
+                batch.append(
+                    _candidate_task(ref, spec.period, spec.capacity, deadline)
                 )
-            )
+            pending[key] = (partition, links, refs, slots)
         reports = {
             link: cache.batch_check(link, candidates)
             for link, candidates in by_link.items()
         }
-        # Seed the whole-assessment memo from the pooled reports: for
-        # each distinct candidate this stores exactly the (epoch-stamped)
-        # _Assessment that _decide would produce against the pre-burst
-        # state, so the replay's first encounter is a memo hit instead
-        # of a second partition + per-link check pass. Entries whose
-        # links change before their first use simply miss, like any
-        # stale memo entry.
-        memo = self._assess_memo
         if len(memo) + len(pending) > self._ASSESS_MEMO_MAX:
             return
-        for key, (up_link, down_link, partition, i_up, i_down) in (
-            pending.items()
-        ):
-            up_report = reports[up_link][i_up]
-            down_report = reports[down_link][i_down]
-            if not up_report.feasible or not down_report.feasible:
-                reason = (
-                    RejectionReason.UPLINK_INFEASIBLE
-                    if not up_report.feasible
-                    else RejectionReason.DOWNLINK_INFEASIBLE
-                )
-            else:
-                reason = None
+        for key, (partition, links, refs, slots) in pending.items():
+            # One explicit loop, not three comprehensions: this runs once
+            # per distinct burst candidate on the sweep's hot path.
+            entries = []
+            epochs = []
+            found = []
+            for ref, slot in zip(refs, slots):
+                entry = cache.entry(ref)
+                entries.append(entry)
+                epochs.append(entry.epoch)
+                found.append(reports[ref][slot])
             memo[key] = (
-                cache.entry(up_link).epoch,
-                cache.entry(down_link).epoch,
-                _Assessment(reason, partition, up_report, down_report),
+                entries,
+                epochs,
+                self._conclude(partition, tuple(found), links, refs),
             )
 
-    def admit_many(
-        self, requests: Iterable[tuple[str, str, ChannelSpec]]
-    ) -> list[AdmissionDecision]:
+    def _admit_many(self, requests: Iterable[tuple[str, str, ChannelSpec]]):
         """Decide a burst of requests, in order, installing acceptances.
 
         Equivalent to ``[self.request(s, d, spec) for s, d, spec in
         requests]`` -- same decisions, same rejection reasons, same
         channel IDs, same final state and counters (the differential
         campaign ``repro admission-diff --batch`` and the Hypothesis
-        property suite enforce stream equality) -- but amortized across
-        the burst:
+        property suites enforce stream equality on the star and the
+        fabric) -- but amortized across the burst:
 
         * distinct candidates are prefetched through one pooled,
           vectorized ``h(n, t)`` evaluation per affected link
           (:meth:`_batch_prefetch`);
         * repeated *rejected* requests (the saturated tail of an
           acceptance sweep) are answered from a burst-local decision
-          template, epoch-validated against the two endpoint links (an
-          acceptance invalidates only templates that share a link with
-          it), so the repeat path is one dict probe plus two integer
-          compares instead of a full re-assessment -- repeats of an
-          identical rejected request may therefore share one
-          (immutable, value-equal) decision record;
+          template, valid while no acceptance has happened since it was
+          made or, failing that, while its path's links are unchanged
+          (an acceptance invalidates only templates that share a link
+          with it) -- repeats of an identical rejected request may
+          therefore share one (immutable, value-equal) decision record;
         * accept/reject counters and telemetry are accumulated locally
           and flushed once per burst (in a ``finally``: if a request
           mid-burst raises, the already-decided prefix is still counted
@@ -834,33 +778,30 @@ class AdmissionController:
         reference controller).
         """
         requests = list(requests)
-        cache = self._cache
-        if cache is None:
+        if self._cache is None:
             return [
                 self.request(source, destination, spec)
                 for source, destination, spec in requests
             ]
         self._batch_prefetch(requests)
-        decisions: list[AdmissionDecision] = []
+        decisions: list = []
         append = decisions.append
-        #: (source, destination, spec) -> (up_entry, up_epoch,
-        #: down_entry, down_epoch, rejection decision, count cell).
-        #: Validated like the assessment memo -- the decision is
-        #: reusable while both endpoint links' epochs are unchanged --
-        #: but against the *entry objects themselves* (two attribute
-        #: loads, no dict lookup; the store never replaces an entry, so
-        #: every install bumps the epoch on these same objects).
-        #: ``None`` entries mark decisions that do not depend on link
-        #: state at all (unknown node / unpartitionable spec): nodes
-        #: and specs are immutable during a burst, so those are always
-        #: valid. The one-element count
-        #: cell tallies how many decisions the record answered (fresh
-        #: + template hits), so the hit path touches no dict of
-        #: counters; ``records`` keeps every cell ever created,
-        #: including superseded templates, for the flush below.
+        #: (source, destination, spec) -> (acceptances so far, what
+        #: _assess returned, rejection record, count cell). Within a
+        #: burst only its own acceptances mutate the store, so a
+        #: template made after the latest acceptance is valid without
+        #: looking at its path; otherwise it is validated like the
+        #: assessment memo, against the path's entry objects themselves
+        #: (the store never replaces an entry). Decisions that need no
+        #: path (unknown node, unpartitionable spec) have no entries and
+        #: are always valid. The one-element count cell tallies how many
+        #: decisions the record answered (fresh + template hits), so
+        #: the hit path touches no dict of counters; ``records`` keeps
+        #: every cell ever created, including superseded templates, for
+        #: the flush below.
         templates: dict[
             tuple[str, str, ChannelSpec],
-            tuple[object, int, object, int, AdmissionDecision, list[int]],
+            tuple[int, tuple[list, list[int], _Assessment], object, list[int]],
         ] = {}
         records: list[tuple[RejectionReason, list[int]]] = []
         accepts = 0
@@ -869,72 +810,24 @@ class AdmissionController:
             for req in requests:
                 key = req if type(req) is tuple else tuple(req)
                 hit = templates.get(key)
-                if hit is not None:
-                    up_entry = hit[0]
-                    if up_entry is None or (
-                        up_entry.epoch == hit[1]
-                        and hit[2].epoch == hit[3]
-                    ):
-                        hit[5][0] += 1
-                        append(hit[4])
-                        continue
-                # Fresh path: identical, step for step, to request()
-                # minus the counter updates (flushed below).
-                source, destination, spec = key
-                candidate = RTChannel(
-                    source=source, destination=destination, spec=spec
-                )
-                assessment = self._assess(source, destination, spec)
-                reason = assessment.reason
-                if reason is not None:
-                    candidate.state = ChannelState.REJECTED
-                    decision = AdmissionDecision(
-                        False,
-                        candidate,
-                        reason,
-                        assessment.partition,
-                        assessment.uplink_report,
-                        assessment.downlink_report,
-                    )
-                    cell = [1]
-                    records.append((reason, cell))
-                    if (
-                        reason is RejectionReason.UNKNOWN_NODE
-                        or reason is RejectionReason.NOT_PARTITIONABLE
-                    ):
-                        templates[key] = (None, 0, None, 0, decision, cell)
-                    else:
-                        up_entry = cache.entry(LinkRef.uplink(source))
-                        down_entry = cache.entry(
-                            LinkRef.downlink(destination)
-                        )
-                        templates[key] = (
-                            up_entry,
-                            up_entry.epoch,
-                            down_entry,
-                            down_entry.epoch,
-                            decision,
-                            cell,
-                        )
-                    fresh_done += 1
-                    append(decision)
+                if hit is not None and (
+                    hit[0] == accepts
+                    or [e.epoch for e in hit[1][0]] == hit[1][1]
+                ):
+                    hit[3][0] += 1
+                    append(hit[2])
                     continue
-                candidate.channel_id = self._allocate_id()
-                candidate.partition = assessment.partition
-                candidate.state = ChannelState.ACTIVE
-                self._state.install(candidate)
-                accepts += 1
+                source, destination, spec = key
+                decision, assessed = self._fresh(source, destination, spec)
                 fresh_done += 1
-                append(
-                    AdmissionDecision(
-                        True,
-                        candidate,
-                        None,
-                        assessment.partition,
-                        assessment.uplink_report,
-                        assessment.downlink_report,
-                    )
-                )
+                append(decision)
+                reason = assessed[2].reason
+                if reason is None:
+                    accepts += 1
+                    continue
+                cell = [1]
+                records.append((reason, cell))
+                templates[key] = (accepts, assessed, decision, cell)
         finally:
             # Every cell increment pairs with exactly one appended
             # decision, so on a mid-burst exception the flushed
@@ -967,6 +860,162 @@ class AdmissionController:
                     self._m_batch_hits.inc(template_hits)
         return decisions
 
+
+class AdmissionController(AdmissionEngine):
+    """The switch's admit-or-reject logic over a :class:`SystemState`.
+
+    The star front end of :class:`AdmissionEngine`: a candidate's path
+    is its source's uplink and its destination's downlink, both links
+    are always tested, and a rejection names the failing one.
+
+    Parameters
+    ----------
+    state:
+        The system state to manage (shared with e.g. the simulator).
+    dps:
+        The deadline-partitioning scheme (SDPS, ADPS, ...). The scheme is
+        consulted once per request with loads that include the candidate.
+    use_cache:
+        When True (the default), per-link feasibility is decided through
+        the incremental ``check``/``batch_check`` of the state's task
+        store (:attr:`SystemState.links`) instead of re-running the
+        from-scratch test on every request. The cached and from-scratch
+        controllers produce identical decision streams (enforced by
+        :mod:`repro.oracle.admission_diff`); ``use_cache=False`` keeps
+        the reference path available for differential testing: it only
+        reads ``tasks_on`` and runs
+        :func:`~repro.core.feasibility.is_feasible`.
+    metrics:
+        Optional :class:`~repro.obs.registry.MetricsRegistry`. When
+        given, verdicts are counted into ``admission.decisions``
+        (labelled by verdict) and ``admission.rejections`` (labelled by
+        reason); without one the per-request telemetry cost is a single
+        ``is not None`` check.
+
+    Notes
+    -----
+    Channel IDs mirror the 16-bit network-unique *RT channel ID* of the
+    signalling frames (see :class:`AdmissionEngine`); only
+    :meth:`request` and :meth:`admit_many` consume IDs --
+    :meth:`preview` never advances the allocator.
+
+    All mutations of the shared :class:`SystemState` go through this
+    controller or the state's own ``install``/``release``; both write
+    the one per-link store the cached checks read.
+    """
+
+    def __init__(
+        self,
+        state: SystemState,
+        dps: DeadlinePartitioningScheme,
+        *,
+        use_cache: bool = True,
+        metrics=None,
+    ) -> None:
+        self._state = state
+        self._dps = dps
+        super().__init__(
+            state.links,
+            state._channels,
+            use_cache=use_cache,
+            # Only schemes that actually override partition_with_probe
+            # pay for the per-request probe closure.
+            probes=type(dps).partition_with_probe
+            is not DeadlinePartitioningScheme.partition_with_probe,
+            metrics=metrics,
+        )
+
+    @property
+    def state(self) -> SystemState:
+        return self._state
+
+    @property
+    def dps(self) -> DeadlinePartitioningScheme:
+        return self._dps
+
+    @property
+    def cache(self) -> FeasibilityCache | None:
+        """The state's task store when it decides admission, or ``None``
+        for a reference (from-scratch) controller."""
+        return self._cache
+
+    def request(
+        self, source: str, destination: str, spec: ChannelSpec
+    ) -> AdmissionDecision:
+        """Decide a channel request; install the channel on acceptance.
+
+        Implements Section 18.2.2's switch-side behaviour minus the
+        signalling (for the full handshake, including the destination's
+        veto, see :mod:`repro.core.channel_manager`).
+        """
+        return self._request(source, destination, spec)
+
+    def admit_many(
+        self, requests: Iterable[tuple[str, str, ChannelSpec]]
+    ) -> list[AdmissionDecision]:
+        """Decide a burst of requests exactly as the :meth:`request` loop
+        would, amortized (see :meth:`AdmissionEngine._admit_many`)."""
+        return self._admit_many(requests)
+
+    # -- the star's path and records ---------------------------------------
+
+    def _route(self, source: str, destination: str, spec: ChannelSpec):
+        """Pre-checks, then the uplink/downlink pair."""
+        nodes = self._state._nodes
+        if source not in nodes or destination not in nodes:
+            return RejectionReason.UNKNOWN_NODE
+        if not spec.is_partitionable():
+            return RejectionReason.NOT_PARTITIONABLE
+        refs = (LinkRef.uplink(source), LinkRef.downlink(destination))
+        return refs, refs
+
+    def _split(self, source, destination, spec, links, refs):
+        loads = _CandidateLoadView(self._state, refs[0], refs[1], spec)
+        if self._dps_probes:
+
+            def probe(partition: DeadlinePartition) -> bool:
+                reports = self._test(
+                    refs, spec, (partition.uplink, partition.downlink)
+                )
+                return all(report.feasible for report in reports)
+
+            partition = self._dps.partition_with_probe(
+                source, destination, spec, loads, probe
+            )
+        else:
+            partition = self._dps.partition(source, destination, spec, loads)
+        partition.validate_for(spec)
+        return partition, (partition.uplink, partition.downlink)
+
+    def _candidate(self, source, destination, spec) -> RTChannel:
+        return RTChannel(source=source, destination=destination, spec=spec)
+
+    def _reject(self, candidate: RTChannel, assessment) -> AdmissionDecision:
+        candidate.state = ChannelState.REJECTED
+        return AdmissionDecision(
+            False,
+            candidate,
+            assessment.reason,
+            assessment.partition,
+            *assessment.reports,
+        )
+
+    def _accept(
+        self, candidate: RTChannel, assessment, channel_id: int
+    ) -> AdmissionDecision:
+        candidate.channel_id = channel_id
+        # Direct assignment instead of assign_partition(): _split already
+        # ran validate_for on this exact partition/spec pair, so the
+        # trusted construction in LinkTask.pair_for_channel stays sound.
+        candidate.partition = assessment.partition
+        candidate.state = ChannelState.ACTIVE
+        self._state.install(candidate)
+        return AdmissionDecision(
+            True, candidate, None, assessment.partition, *assessment.reports
+        )
+
+    # -- star-only conveniences --------------------------------------------
+
     def preview(
         self, source: str, destination: str, spec: ChannelSpec
     ) -> AdmissionDecision:
@@ -980,17 +1029,12 @@ class AdmissionController:
         used is still reported); on a would-be rejection the candidate
         is marked ``REJECTED`` exactly as a real rejection would.
         """
-        candidate = RTChannel(source=source, destination=destination, spec=spec)
-        assessment = self._assess(source, destination, spec)
+        candidate = self._candidate(source, destination, spec)
+        assessment = self._assess(source, destination, spec)[2]
         if assessment.reason is not None:
-            candidate.state = ChannelState.REJECTED
+            return self._reject(candidate, assessment)
         return AdmissionDecision(
-            assessment.reason is None,
-            candidate,
-            assessment.reason,
-            assessment.partition,
-            assessment.uplink_report,
-            assessment.downlink_report,
+            True, candidate, None, assessment.partition, *assessment.reports
         )
 
     def admit_or_raise(

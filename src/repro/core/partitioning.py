@@ -160,7 +160,7 @@ class DeadlinePartitioningScheme(abc.ABC):
     :meth:`partition_with_probe` read only the candidate's source uplink
     (``LinkRef.uplink(source)``) and destination downlink
     (``LinkRef.downlink(destination)``) from ``loads``, and no other
-    state. The admission controller's assessment memo relies on it: it
+    state. The admission engine's assessment memo relies on it: it
     reuses a decision for ``(source, destination, spec)`` while those
     two links' cache epochs are unchanged.
     """

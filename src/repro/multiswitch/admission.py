@@ -4,7 +4,10 @@ The per-link theory is exactly the paper's (Section 18.3.2): each
 directed fabric link is a uniprocessor, each channel contributes one
 supposed task per traversed link with the per-hop deadline chosen by a
 :class:`~repro.multiswitch.partitioning.MultiHopDPS`. A request is
-admitted when *every* link of its routed path remains feasible.
+admitted when *every* link of its routed path remains feasible -- the
+rule :class:`~repro.core.admission.AdmissionEngine` decides for the star
+too, so this module only supplies the routed path, the k-way partition
+and the fabric's decision record.
 
 One modelling note: an inter-switch link carries tasks of many channels
 whose upstream hop counts differ; as on the star's downlink, the
@@ -17,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from ..core.admission import AdmissionEngine, path_delay_bounds
 from ..core.channel import ChannelSpec
-from ..core.feasibility import FeasibilityReport, is_feasible
+from ..core.feasibility import FeasibilityReport
 from ..core.feasibility_cache import FeasibilityCache
 from ..core.task import LinkRef, LinkTask
-from ..errors import PartitioningError, UnknownChannelError
+from ..errors import UnknownChannelError
 from .graph import FabricGraph, FabricLink
 from .partitioning import MultiHopDPS
 
@@ -60,8 +64,17 @@ def _link_ref(link: FabricLink) -> LinkRef:
     return LinkRef.uplink(f"{link.tail}->{link.head}")
 
 
-class MultiSwitchAdmission:
+class MultiSwitchAdmission(AdmissionEngine):
     """Admit-or-reject over a fabric graph.
+
+    The fabric front end of :class:`~repro.core.admission.AdmissionEngine`:
+    the path is the fabric's routed path, the test stops at the first
+    infeasible link (reported as ``failed_link``), and the assessment
+    memo skips re-routing on a hit. That is exact because the route is a
+    pure function of ``(routing_seed, source, destination)`` -- the
+    topology must not be re-cabled while admission runs on it -- and
+    both k-way schemes read only the links of the path they are handed.
+    Requests naming an unknown host raise from routing.
 
     Parameters
     ----------
@@ -84,6 +97,8 @@ class MultiSwitchAdmission:
         with :func:`~repro.core.feasibility.is_feasible`.
     """
 
+    _TEST_WHOLE_PATH = False
+
     def __init__(
         self,
         fabric: FabricGraph,
@@ -98,14 +113,7 @@ class MultiSwitchAdmission:
         #: The per-link task store: every admitted channel's supposed
         #: tasks, keyed by ``_link_ref`` of their fabric link.
         self._links = FeasibilityCache()
-        self._use_cache = use_cache
-        self._next_id = 1
-        self.accept_count = 0
-        self.reject_count = 0
-
-    @property
-    def uses_cache(self) -> bool:
-        return self._use_cache
+        super().__init__(self._links, self._channels, use_cache=use_cache)
 
     @property
     def fabric(self) -> FabricGraph:
@@ -140,184 +148,90 @@ class MultiSwitchAdmission:
         )
 
     def channel_delay_bounds(self) -> dict[int, "PathBound"]:
-        """Network-calculus end-to-end bound per admitted channel.
-
-        The multi-hop twin of
-        :meth:`repro.core.admission.SystemState.channel_delay_bounds`:
-        one rate-latency residual per traversed fabric link, convolved
-        along the routed path, with cross-traffic burstiness propagated
-        through upstream hops (sound for the tree fabric because its
-        directed link graph is feed-forward). Values are
-        :class:`~repro.netcalc.bounds.PathBound` in slots.
-        """
-        from ..netcalc.bounds import network_delay_bounds
-
-        flows = {
-            channel_id: decision.links
-            for channel_id, decision in self._channels.items()
-        }
-        links = {link for path in flows.values() for link in path}
-        return network_delay_bounds(
-            flows, {link: self.tasks_on(link) for link in links}
+        """Network-calculus end-to-end bound per admitted channel, along
+        its routed path (see :func:`~repro.core.admission.path_delay_bounds`)."""
+        return path_delay_bounds(
+            {
+                channel_id: decision.links
+                for channel_id, decision in self._channels.items()
+            },
+            self.tasks_on,
         )
-
-    # -- decision ------------------------------------------------------------
 
     def request(
         self, source: str, destination: str, spec: ChannelSpec
     ) -> MultiAdmissionDecision:
         """Route, partition and per-link feasibility-test one request."""
+        return self._request(source, destination, spec)
+
+    def admit_many(
+        self, requests: Iterable[tuple[str, str, ChannelSpec]]
+    ) -> list[MultiAdmissionDecision]:
+        """Decide a burst of requests exactly as the :meth:`request` loop
+        would, amortized (see
+        :meth:`~repro.core.admission.AdmissionEngine._admit_many`)."""
+        return self._admit_many(requests)
+
+    # -- the fabric's path and records ---------------------------------------
+
+    def _route(self, source: str, destination: str, spec: ChannelSpec):
         links = tuple(self._fabric.path_links(source, destination))
+        return links, tuple([_link_ref(link) for link in links])
 
-        def loaded(link: FabricLink) -> int:
-            # candidate included, mirroring the star-network ADPS.
-            return self.link_load(link) + 1
+    def _split(self, source, destination, spec, links, refs):
+        link_load = self._links.link_load
+        # Loads include the candidate, mirroring the star-network ADPS.
+        parts = tuple(
+            self._dps.partition(
+                spec, links, lambda link: link_load(_link_ref(link)) + 1
+            )
+        )
+        return parts, parts
 
-        try:
-            parts = tuple(self._dps.partition(spec, links, loaded))
-        except PartitioningError:
-            self.reject_count += 1
-            return MultiAdmissionDecision(
-                accepted=False,
-                channel_id=-1,
-                source=source,
-                destination=destination,
-                spec=spec,
-                links=links,
-                parts=(),
-            )
-        # Peek the ID -- it is only consumed on acceptance, so rejected
-        # requests no longer burn through the channel-ID space.
-        channel_id = self._next_id
-        reports: list[FeasibilityReport] = []
-        candidate_tasks: list[LinkTask] = []
-        for link, part in zip(links, parts):
-            task = LinkTask(
-                link=_link_ref(link),
-                period=spec.period,
-                capacity=spec.capacity,
-                deadline=part,
-                channel_id=channel_id,
-            )
-            candidate_tasks.append(task)
-            if self._use_cache:
-                report = self._links.check(task)
-            else:
-                report = is_feasible(
-                    list(self._links.tasks_on(task.link)) + [task]
+    def _candidate(self, source, destination, spec):
+        return source, destination, spec
+
+    def _reject(self, candidate, assessment) -> MultiAdmissionDecision:
+        source, destination, spec = candidate
+        reports = assessment.reports
+        return MultiAdmissionDecision(
+            accepted=False,
+            channel_id=-1,
+            source=source,
+            destination=destination,
+            spec=spec,
+            links=assessment.links,
+            parts=assessment.partition or (),
+            reports=reports,
+            failed_link=assessment.links[len(reports) - 1] if reports else None,
+        )
+
+    def _accept(
+        self, candidate, assessment, channel_id: int
+    ) -> MultiAdmissionDecision:
+        source, destination, spec = candidate
+        for ref, part in zip(assessment.refs, assessment.partition):
+            self._links.install(
+                LinkTask(
+                    link=ref,
+                    period=spec.period,
+                    capacity=spec.capacity,
+                    deadline=part,
+                    channel_id=channel_id,
                 )
-            reports.append(report)
-            if not report.feasible:
-                self.reject_count += 1
-                return MultiAdmissionDecision(
-                    accepted=False,
-                    channel_id=-1,
-                    source=source,
-                    destination=destination,
-                    spec=spec,
-                    links=links,
-                    parts=parts,
-                    reports=tuple(reports),
-                    failed_link=link,
-                )
-        self._next_id += 1
-        for task in candidate_tasks:
-            self._links.install(task)
+            )
         decision = MultiAdmissionDecision(
             accepted=True,
             channel_id=channel_id,
             source=source,
             destination=destination,
             spec=spec,
-            links=links,
-            parts=parts,
-            reports=tuple(reports),
+            links=assessment.links,
+            parts=assessment.partition,
+            reports=assessment.reports,
         )
         self._channels[channel_id] = decision
-        self.accept_count += 1
         return decision
-
-    def _batch_prefetch(
-        self, requests: list[tuple[str, str, ChannelSpec]]
-    ) -> None:
-        """Warm per-link verdict memos for every distinct burst candidate.
-
-        Routes and partitions each distinct request once against the
-        pre-burst loads, then runs one pooled vectorized
-        ``batch_check`` per touched fabric link. Purely a cache warm-up:
-        it seeds exactly the memo entries the scalar checks would
-        create, so decisions are unchanged.
-        """
-        if not self._use_cache:
-            return
-        by_link: dict[LinkRef, list[LinkTask]] = {}
-        seen: set[tuple[str, str, ChannelSpec]] = set()
-        for source, destination, spec in requests:
-            key = (source, destination, spec)
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                links = tuple(self._fabric.path_links(source, destination))
-            except Exception:
-                continue  # the replay rejects/raises identically
-
-            def loaded(link: FabricLink) -> int:
-                return self.link_load(link) + 1
-
-            try:
-                parts = tuple(self._dps.partition(spec, links, loaded))
-            except PartitioningError:
-                continue
-            for link, part in zip(links, parts):
-                ref = _link_ref(link)
-                by_link.setdefault(ref, []).append(
-                    LinkTask(
-                        link=ref,
-                        period=spec.period,
-                        capacity=spec.capacity,
-                        deadline=part,
-                        channel_id=-1,
-                    )
-                )
-        for ref, candidates in by_link.items():
-            self._links.batch_check(ref, candidates)
-
-    def admit_many(
-        self, requests: "Iterable[tuple[str, str, ChannelSpec]]"
-    ) -> list[MultiAdmissionDecision]:
-        """Decide a burst of requests in order (multi-hop admit_many).
-
-        Stream-equivalent to calling :meth:`request` per element (same
-        verdicts, ``failed_link``, channel IDs, link loads); amortizes
-        the burst through one pooled feasibility prefetch per fabric
-        link and a burst-local template for repeated rejected requests,
-        invalidated wholesale whenever an acceptance changes any link
-        load. Repeats of an identical rejected request may share one
-        (frozen, value-equal) decision record.
-        """
-        requests = list(requests)
-        self._batch_prefetch(requests)
-        decisions: list[MultiAdmissionDecision] = []
-        templates: dict[
-            tuple[str, str, ChannelSpec],
-            tuple[int, MultiAdmissionDecision],
-        ] = {}
-        version = 0
-        for source, destination, spec in requests:
-            key = (source, destination, spec)
-            hit = templates.get(key)
-            if hit is not None and hit[0] == version:
-                self.reject_count += 1
-                decisions.append(hit[1])
-                continue
-            decision = self.request(source, destination, spec)
-            if decision.accepted:
-                version += 1
-            else:
-                templates[key] = (version, decision)
-            decisions.append(decision)
-        return decisions
 
     def release(self, channel_id: int) -> MultiAdmissionDecision:
         """Tear down an admitted channel, freeing all its per-link tasks."""

@@ -145,7 +145,14 @@ def _repair_floor(parts: list[int], capacity: int) -> list[int]:
 
 
 class MultiHopDPS(abc.ABC):
-    """Abstract k-way deadline-partitioning scheme."""
+    """Abstract k-way deadline-partitioning scheme.
+
+    The rule every scheme keeps: :meth:`partition` calls ``link_load``
+    only for links of the path it is handed, and reads no other state.
+    The admission engine's assessment memo relies on it: it reuses a
+    decision for ``(source, destination, spec)`` while the epochs of
+    that path's links are unchanged.
+    """
 
     name: str = "multihop-dps"
 

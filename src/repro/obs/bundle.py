@@ -525,24 +525,6 @@ class Telemetry:
 
         registry.add_collector(collect)
 
-    def check_invariants(self, net) -> int:
-        """Run the monitor's structural checks against a star network.
-
-        Returns the number of anomalies emitted (0 when the monitor is
-        off or everything holds). Delivery-time bound checks run
-        continuously through the delay observer; this adds the
-        on-demand link-overbooking and lease-leak assertions.
-        """
-        if self.monitor is None:
-            return 0
-        emitted = self.monitor.check_links(
-            net.admission.state, now_ns=net.sim.now
-        )
-        emitted += self.monitor.check_leases(
-            net.switch.manager, now_ns=net.sim.now
-        )
-        return emitted
-
     # -- output ----------------------------------------------------------
 
     def snapshot(self) -> dict:

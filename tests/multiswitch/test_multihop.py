@@ -286,3 +286,36 @@ class TestMultiSwitchCacheParity:
         )
         assert decision.accepted
         assert decision.channel_id == 1
+
+
+class TestMultiSwitchChannelIds:
+    """Fabric channel IDs stay inside the 16-bit RT channel ID field."""
+
+    SPEC = ChannelSpec(period=100, capacity=3, deadline=40)
+
+    def make(self):
+        return MultiSwitchAdmission(
+            fabric=SwitchFabric.chain(2, 2), dps=MultiHopSymmetric()
+        )
+
+    def test_ids_wrap_past_the_16_bit_field_skipping_live_ids(self):
+        admission = self.make()
+        first = admission.request("n0_0", "n1_0", self.SPEC)
+        assert first.channel_id == 1  # stays live across the wrap
+        admission._next_id = 0xFFFE  # as after 65 533 admit/release cycles
+        ids = []
+        for _ in range(4):
+            decision = admission.request("n0_1", "n1_1", self.SPEC)
+            assert decision.accepted
+            ids.append(decision.channel_id)
+            admission.release(decision.channel_id)
+        assert ids == [0xFFFE, 0xFFFF, 2, 3]
+
+    def test_batch_and_scalar_allocate_the_same_wrapped_ids(self):
+        scalar, batched = self.make(), self.make()
+        burst = [("n0_0", "n1_0", self.SPEC), ("n0_1", "n1_1", self.SPEC)]
+        for admission in (scalar, batched):
+            admission._next_id = 0xFFFF
+        got = [d.channel_id for d in batched.admit_many(burst)]
+        want = [scalar.request(s, d, spec).channel_id for s, d, spec in burst]
+        assert got == want == [0xFFFF, 1]
