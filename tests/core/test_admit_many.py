@@ -19,7 +19,7 @@ from repro.core.admission import (
 )
 from repro.core.channel import ChannelSpec
 from repro.core.partitioning import AsymmetricDPS, SymmetricDPS
-from repro.errors import ChannelParameterError
+from repro.errors import ChannelParameterError, RoutingError
 from repro.multiswitch.admission import MultiSwitchAdmission
 from repro.multiswitch.fabric import SwitchFabric
 from repro.multiswitch.partitioning import MultiHopSymmetric
@@ -186,3 +186,21 @@ class TestMultiSwitchAdmitMany:
         }
         for link in touched:
             assert scalar_adm.link_load(link) == batch_adm.link_load(link)
+
+    def test_unknown_host_mid_burst_leaves_the_scalar_prefix(self):
+        """Routing raises for an unknown host at its place in the burst;
+        the decided prefix is installed and counted as by the scalar
+        loop."""
+        burst = self.multihop_burst()[:12]
+        poisoned = burst + [("n0_0", "ghost", SPEC)] + burst
+        scalar_adm, batch_adm = self.make(), self.make()
+        with pytest.raises(RoutingError):
+            for s, d, sp in poisoned:
+                scalar_adm.request(s, d, sp)
+        with pytest.raises(RoutingError):
+            batch_adm.admit_many(poisoned)
+        assert batch_adm.accept_count == scalar_adm.accept_count > 0
+        assert batch_adm.reject_count == scalar_adm.reject_count
+        assert sorted(batch_adm.decisions) == sorted(scalar_adm.decisions)
+        for link in scalar_adm.occupied_links():
+            assert batch_adm.tasks_on(link) == scalar_adm.tasks_on(link)
